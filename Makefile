@@ -86,7 +86,7 @@ bench-json:
 # and fails on a >25% regression against the checked-in baseline — in
 # ns/op, and in B/op / allocs/op wherever the baseline carries -benchmem
 # columns.
-BENCH_BASELINE ?= BENCH_PR9.json
+BENCH_BASELINE ?= BENCH_PR10.json
 
 bench-compare:
 	{ $(GO) test -run='^$$' -bench='^(BenchmarkReplicationSerial|BenchmarkFig4OdometryOnly|BenchmarkSwarmSim1000)$$' -benchmem . && \

@@ -8,10 +8,29 @@
 package cocoa_test
 
 import (
+	"context"
 	"testing"
 
 	"cocoa"
+	icocoa "cocoa/internal/cocoa"
 )
+
+// runExperiment runs the registry experiment name and returns its result
+// as T, failing tb on any error.
+func runExperiment[T any](tb testing.TB, name string, opts cocoa.ExperimentOptions) T {
+	tb.Helper()
+	for _, d := range cocoa.Experiments() {
+		if d.Name == name {
+			v, err := d.Run(context.Background(), opts)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return v.(T)
+		}
+	}
+	tb.Fatalf("no experiment %q", name)
+	panic("unreachable")
+}
 
 // benchOpts is the reduced scale every figure benchmark shares.
 func benchOpts(seed int64) cocoa.ExperimentOptions {
@@ -26,10 +45,7 @@ func benchOpts(seed int64) cocoa.ExperimentOptions {
 
 func BenchmarkFig1PDFTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := cocoa.RunFig1(cocoa.ExperimentOptions{Seed: 1, CalibrationSamples: 120000})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExperiment[*cocoa.Fig1Result](b, "fig1", cocoa.ExperimentOptions{Seed: 1, CalibrationSamples: 120000})
 		if i == 0 {
 			b.ReportMetric(res.Strong.MeanDist, "strong-mean-m")
 			b.ReportMetric(res.Weak.MeanDist, "weak-mean-m")
@@ -39,10 +55,7 @@ func BenchmarkFig1PDFTable(b *testing.B) {
 
 func BenchmarkFig4OdometryOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := cocoa.RunFig4(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := runExperiment[[]cocoa.Series](b, "fig4", benchOpts(1))
 		if i == 0 {
 			for _, s := range series {
 				b.ReportMetric(s.Values[len(s.Values)-1], "final-err-m-"+s.Label)
@@ -53,10 +66,7 @@ func BenchmarkFig4OdometryOnly(b *testing.B) {
 
 func BenchmarkFig5OdometryPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := cocoa.RunFig5(cocoa.ExperimentOptions{Seed: 1, DurationS: 600})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExperiment[*cocoa.Fig5Result](b, "fig5", cocoa.ExperimentOptions{Seed: 1, DurationS: 600})
 		if i == 0 {
 			b.ReportMetric(res.FinalGapM, "final-gap-m")
 		}
@@ -65,10 +75,7 @@ func BenchmarkFig5OdometryPath(b *testing.B) {
 
 func BenchmarkFig6RFOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := cocoa.RunFig6(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := runExperiment[[]cocoa.Series](b, "fig6", benchOpts(1))
 		if i == 0 {
 			for _, s := range series {
 				b.ReportMetric(cocoa.SteadyStateMean(s, 60), "steady-err-m-"+s.Label)
@@ -79,10 +86,7 @@ func BenchmarkFig6RFOnly(b *testing.B) {
 
 func BenchmarkFig7Comparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := cocoa.RunFig7(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runExperiment[[]cocoa.Fig7Result](b, "fig7", benchOpts(1))
 		if i == 0 {
 			for _, r := range results {
 				if r.VMax == 2.0 {
@@ -97,10 +101,7 @@ func BenchmarkFig7Comparison(b *testing.B) {
 
 func BenchmarkFig8CDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		snaps, err := cocoa.RunFig8(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		snaps := runExperiment[[]cocoa.CDFSnapshot](b, "fig8", benchOpts(1))
 		if i == 0 && len(snaps) == 3 {
 			b.ReportMetric(snaps[1].P90, "p90-after-window-m")
 		}
@@ -109,10 +110,7 @@ func BenchmarkFig8CDF(b *testing.B) {
 
 func BenchmarkFig9BeaconPeriod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunFig9(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.Fig9Row](b, "fig9", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.MeanErrorM, "err-m-T"+itoa(int(r.PeriodS)))
@@ -123,10 +121,7 @@ func BenchmarkFig9BeaconPeriod(b *testing.B) {
 
 func BenchmarkFig9Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunFig9(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.Fig9Row](b, "fig9", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.SavingsRatio, "savings-x-T"+itoa(int(r.PeriodS)))
@@ -137,10 +132,7 @@ func BenchmarkFig9Energy(b *testing.B) {
 
 func BenchmarkFig10Devices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunFig10(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.Fig10Row](b, "fig10", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.MeanErrorM, "err-m-n"+itoa(r.Equipped))
@@ -151,10 +143,7 @@ func BenchmarkFig10Devices(b *testing.B) {
 
 func BenchmarkExtensionSecondaryBeacons(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunExtensionSecondary(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.ExtensionRow](b, "ext-secondary", benchOpts(1))
 		if i == 0 && len(rows) > 0 {
 			b.ReportMetric(rows[0].BaselineMeanM, "baseline-err-m")
 			b.ReportMetric(rows[0].SecondaryMeanM, "secondary-err-m")
@@ -164,10 +153,7 @@ func BenchmarkExtensionSecondaryBeacons(b *testing.B) {
 
 func BenchmarkAblationPruning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunAblationPruning(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.AblationPruningRow](b, "ablation-pruning", benchOpts(1))
 		if i == 0 && len(rows) == 2 {
 			b.ReportMetric(float64(rows[0].DataSent), "mrmm-data-tx")
 			b.ReportMetric(float64(rows[1].DataSent), "odmrp-data-tx")
@@ -177,10 +163,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 
 func BenchmarkAblationBeaconRedundancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunAblationK(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.AblationKRow](b, "ablation-k", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(100*r.FixRate, "fixrate-pct-k"+itoa(r.K))
@@ -191,10 +174,7 @@ func BenchmarkAblationBeaconRedundancy(b *testing.B) {
 
 func BenchmarkAblationGridResolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunAblationGrid(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.AblationGridRow](b, "ablation-grid", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.MeanErrorM, "err-m-cell"+itoa(int(r.CellM)))
@@ -205,10 +185,7 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 
 func BenchmarkAblationLocalizerBackend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunAblationLocalizer(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.AblationLocalizerRow](b, "ablation-localizer", benchOpts(1))
 		if i == 0 && len(rows) == 3 {
 			b.ReportMetric(rows[0].MeanErrorM, "grid-err-m")
 			b.ReportMetric(rows[1].MeanErrorM, "particle-err-m")
@@ -219,10 +196,7 @@ func BenchmarkAblationLocalizerBackend(b *testing.B) {
 
 func BenchmarkExtensionPowerControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunExtensionPowerControl(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.PowerControlRow](b, "ext-power", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(100*r.FixRate, "fixrate-pct-"+itoa(int(r.TxPowerDBm))+"dBm")
@@ -233,10 +207,7 @@ func BenchmarkExtensionPowerControl(b *testing.B) {
 
 func BenchmarkExtensionClockSkew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunExtensionClockSkew(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.ClockSkewRow](b, "ext-skew", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				if r.DriftSigmaS == 1.5 {
@@ -324,10 +295,7 @@ func itoa(n int) string {
 // Positioning comparison (the paper's related-work baseline).
 func BenchmarkBaselineCoopPos(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunBaselineCoopPos(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.BaselineRow](b, "baseline", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.MeanErrorM, "err-m-"+r.System)
@@ -340,10 +308,7 @@ func BenchmarkBaselineCoopPos(b *testing.B) {
 // path measurement.
 func BenchmarkExtensionReporting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunExtensionReporting(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.ReportingRow](b, "ext-reports", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(100*r.DeliveryRate, "delivery-pct-T"+itoa(int(r.PeriodS)))
@@ -378,10 +343,7 @@ func BenchmarkReplicationParallel4(b *testing.B) { benchmarkReplication(b, 4) }
 // BenchmarkExtensionTerrain regenerates the uneven-terrain study.
 func BenchmarkExtensionTerrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := cocoa.RunExtensionTerrain(benchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]cocoa.TerrainRow](b, "ext-terrain", benchOpts(1))
 		if i == 0 {
 			for _, r := range rows {
 				if r.Amplitude > 0 {
@@ -399,9 +361,8 @@ func BenchmarkExtensionTerrain(b *testing.B) {
 // seeding and robot allocation for n robots, identical in both modes and
 // not what the index accelerates) happens outside the timer; the measured
 // region is the simulation run itself.
-func benchmarkSwarm(b *testing.B, n int, index string) {
-	cfg := cocoa.SwarmConfig(n)
-	cfg.NeighborIndex = index
+func benchmarkSwarm(b *testing.B, n int, ref icocoa.Reference) {
+	cfg := icocoa.WithReference(cocoa.SwarmConfig(n), ref)
 	cfg.Calibration.Samples = 80000
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -423,16 +384,16 @@ func benchmarkSwarm(b *testing.B, n int, index string) {
 }
 
 func BenchmarkSwarmSim100(b *testing.B) {
-	b.Run("grid", func(b *testing.B) { benchmarkSwarm(b, 100, "grid") })
-	b.Run("scan", func(b *testing.B) { benchmarkSwarm(b, 100, "scan") })
+	b.Run("grid", func(b *testing.B) { benchmarkSwarm(b, 100, icocoa.Reference{}) })
+	b.Run("scan", func(b *testing.B) { benchmarkSwarm(b, 100, icocoa.Reference{ScanIndex: true}) })
 }
 
 func BenchmarkSwarmSim500(b *testing.B) {
-	b.Run("grid", func(b *testing.B) { benchmarkSwarm(b, 500, "grid") })
-	b.Run("scan", func(b *testing.B) { benchmarkSwarm(b, 500, "scan") })
+	b.Run("grid", func(b *testing.B) { benchmarkSwarm(b, 500, icocoa.Reference{}) })
+	b.Run("scan", func(b *testing.B) { benchmarkSwarm(b, 500, icocoa.Reference{ScanIndex: true}) })
 }
 
 func BenchmarkSwarmSim1000(b *testing.B) {
-	b.Run("grid", func(b *testing.B) { benchmarkSwarm(b, 1000, "grid") })
-	b.Run("scan", func(b *testing.B) { benchmarkSwarm(b, 1000, "scan") })
+	b.Run("grid", func(b *testing.B) { benchmarkSwarm(b, 1000, icocoa.Reference{}) })
+	b.Run("scan", func(b *testing.B) { benchmarkSwarm(b, 1000, icocoa.Reference{ScanIndex: true}) })
 }

@@ -63,8 +63,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cocoaexp", flag.ContinueOnError)
 	var (
 		fig       = fs.String("fig", "all", "which figure to regenerate: 1,4,5,6,7,8,9,10,ext,power,skew,terrain,reports,failures,faults,scale,baseline,ablations or all")
-		index     = fs.String("index", "", "MAC neighbor index for every run: grid (default) or scan (O(n) reference; byte-identical results)")
-		gridStats = fs.String("gridstats", "", "Bayesian grid statistics read path: incremental (default) or eager (full-scan reference; equivalent within 1e-9)")
 		quick     = fs.Bool("quick", false, "scaled-down runs (12 robots, 300 s)")
 		seed      = fs.Int64("seed", 1, "experiment seed")
 		parallel  = fs.Int("parallel", 0, "concurrent simulation runs per experiment (0 = all CPUs, 1 = serial)")
@@ -115,17 +113,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}()
 	}
 
-	switch *index {
-	case "", "grid", "scan":
-	default:
-		return fmt.Errorf("unknown -index %q (grid or scan)", *index)
-	}
-	switch *gridStats {
-	case "", "incremental", "eager":
-	default:
-		return fmt.Errorf("unknown -gridstats %q (incremental or eager)", *gridStats)
-	}
-	opts := cocoa.ExperimentOptions{Seed: *seed, NeighborIndex: *index, GridStats: *gridStats, Logger: logger}
+	opts := cocoa.ExperimentOptions{Seed: *seed, Logger: logger}
 	if *quick {
 		opts.DurationS = 300
 		opts.NumRobots = 12

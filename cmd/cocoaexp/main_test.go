@@ -76,37 +76,15 @@ func TestRunScaleQuick(t *testing.T) {
 	}
 }
 
-// -index scan must reproduce the grid default byte-for-byte: the spatial
-// index is a performance device, not a behavior switch (DESIGN.md §12).
-func TestRunIndexToggleIdenticalOutput(t *testing.T) {
-	trim := func(t *testing.T, s string) string {
-		t.Helper()
-		i := strings.LastIndex(s, "\ntotal wall time")
-		if i < 0 {
-			t.Fatalf("output missing wall-time trailer:\n%s", s)
-		}
-		return s[:i]
-	}
-	var grid, scan bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "scale", "-index", "grid"}, &grid); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-quick", "-fig", "scale", "-index", "scan"}, &scan); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := trim(t, scan.String()), trim(t, grid.String()); got != want {
-		t.Errorf("-index scan output differs from grid:\n--- grid ---\n%s\n--- scan ---\n%s", want, got)
-	}
-}
-
+// The reference-path selectors are test hooks, not flags: -index and
+// -gridstats must be rejected as undefined.
 func TestRunRejectsBadIndex(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-quick", "-fig", "scale", "-index", "quadtree"}, &buf)
-	if err == nil {
-		t.Fatal("bad -index value accepted")
-	}
-	if !strings.Contains(err.Error(), "quadtree") {
-		t.Errorf("error does not name the bad index: %v", err)
+	for _, flag := range []string{"-index", "-gridstats"} {
+		var buf bytes.Buffer
+		err := run(context.Background(), []string{"-quick", "-fig", "scale", flag, "scan"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +46,7 @@ func run(args []string, w io.Writer) error {
 
 	var svg string
 	if *path {
-		fig5, err := cocoa.RunFig5(cocoa.ExperimentOptions{Seed: *seed, DurationS: *duration})
+		fig5, err := runFig5(cocoa.ExperimentOptions{Seed: *seed, DurationS: *duration})
 		if err != nil {
 			return err
 		}
@@ -74,4 +76,19 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	return os.WriteFile(*out, []byte(svg), 0o644)
+}
+
+// runFig5 runs the registry's Figure 5 experiment (true vs
+// odometry-estimated path of one robot).
+func runFig5(opts cocoa.ExperimentOptions) (*cocoa.Fig5Result, error) {
+	for _, d := range cocoa.Experiments() {
+		if d.Name == "fig5" {
+			v, err := d.Run(context.Background(), opts)
+			if err != nil {
+				return nil, err
+			}
+			return v.(*cocoa.Fig5Result), nil
+		}
+	}
+	return nil, errors.New("no fig5 experiment registered")
 }

@@ -17,8 +17,10 @@
 //	// res.AvgError is the localization-error time series;
 //	// res.EnergySavings() is the coordination payoff.
 //
-// The Experiments type re-exposes the per-figure runners that regenerate
-// every table and figure of the paper's evaluation; see EXPERIMENTS.md.
+// Experiments lists the registry that regenerates every table and figure
+// of the paper's evaluation: find a descriptor by Name and call its
+// Run(ctx, opts); see EXPERIMENTS.md. RunReplication is the one direct
+// runner, for a caller-chosen number of seeds.
 package cocoa
 
 import (
@@ -287,78 +289,6 @@ func ExperimentDeviceCounts() []int {
 	return append([]int(nil), scenario.EquippedCounts...)
 }
 
-// RunFig1 regenerates Figure 1 (calibration PDFs).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig1(opts ExperimentOptions) (*Fig1Result, error) {
-	return scenario.RunFig1(context.Background(), opts)
-}
-
-// RunFig4 regenerates Figure 4 (odometry-only error over time).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig4(opts ExperimentOptions) ([]Series, error) {
-	return scenario.RunFig4(context.Background(), opts)
-}
-
-// RunFig5 regenerates Figure 5 (true vs odometry-estimated path).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig5(opts ExperimentOptions) (*Fig5Result, error) {
-	return scenario.RunFig5(context.Background(), opts)
-}
-
-// RunFig6 regenerates Figure 6 (RF-only error across beacon periods).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig6(opts ExperimentOptions) ([]Series, error) {
-	return scenario.RunFig6(context.Background(), opts)
-}
-
-// RunFig7 regenerates Figure 7 (CoCoA vs odometry-only vs RF-only).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig7(opts ExperimentOptions) ([]Fig7Result, error) {
-	return scenario.RunFig7(context.Background(), opts)
-}
-
-// RunFig8 regenerates Figure 8 (error CDFs at three instants).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig8(opts ExperimentOptions) ([]CDFSnapshot, error) {
-	return scenario.RunFig8(context.Background(), opts)
-}
-
-// RunFig9 regenerates Figure 9 (beacon-period impact on error and energy).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig9(opts ExperimentOptions) ([]Fig9Row, error) {
-	return scenario.RunFig9(context.Background(), opts)
-}
-
-// RunFig10 regenerates Figure 10 (impact of the number of devices).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFig10(opts ExperimentOptions) ([]Fig10Row, error) {
-	return scenario.RunFig10(context.Background(), opts)
-}
-
 // SteadyStateMean averages a curve past the warm-up prefix.
 func SteadyStateMean(s Series, warmupS float64) float64 {
 	return scenario.SteadyStateMean(s, warmupS)
@@ -375,43 +305,6 @@ type (
 	// AblationGridRow measures the grid-resolution tradeoff.
 	AblationGridRow = scenario.AblationGridRow
 )
-
-// RunExtensionSecondary evaluates the paper's future-work idea of letting
-// localized unequipped robots beacon too.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunExtensionSecondary(opts ExperimentOptions) ([]ExtensionRow, error) {
-	return scenario.RunExtensionSecondary(context.Background(), opts)
-}
-
-// RunAblationPruning compares MRMM mesh pruning against plain ODMRP.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunAblationPruning(opts ExperimentOptions) ([]AblationPruningRow, error) {
-	return scenario.RunAblationPruning(context.Background(), opts)
-}
-
-// RunAblationK sweeps the per-window beacon redundancy k.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunAblationK(opts ExperimentOptions) ([]AblationKRow, error) {
-	return scenario.RunAblationK(context.Background(), opts)
-}
-
-// RunAblationGrid sweeps the Bayesian grid resolution.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunAblationGrid(opts ExperimentOptions) ([]AblationGridRow, error) {
-	return scenario.RunAblationGrid(context.Background(), opts)
-}
 
 // Extension studies beyond the paper's evaluation (each grounded in its
 // design or future-work sections).
@@ -434,36 +327,6 @@ const (
 // LocalizerKind selects the RF estimation backend.
 type LocalizerKind = icocoa.LocalizerKind
 
-// RunAblationLocalizer compares the paper's grid estimator with Monte
-// Carlo localization on the same deployment.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunAblationLocalizer(opts ExperimentOptions) ([]AblationLocalizerRow, error) {
-	return scenario.RunAblationLocalizer(context.Background(), opts)
-}
-
-// RunExtensionPowerControl sweeps beacon transmit power (the paper's
-// future-work question on cooperation distance).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunExtensionPowerControl(opts ExperimentOptions) ([]PowerControlRow, error) {
-	return scenario.RunExtensionPowerControl(context.Background(), opts)
-}
-
-// RunExtensionClockSkew sweeps per-period clock drift with and without
-// SYNC dissemination.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunExtensionClockSkew(opts ExperimentOptions) ([]ClockSkewRow, error) {
-	return scenario.RunExtensionClockSkew(context.Background(), opts)
-}
-
 // Geographic routing over robot positions — the application the paper's
 // conclusion motivates (Bose et al.'s greedy-face-greedy).
 type (
@@ -483,16 +346,6 @@ func NewGeoGraph(truth, belief []Vec2, rangeM float64) (*GeoGraph, error) {
 
 // BaselineRow compares localization systems at the same deployment scale.
 type BaselineRow = scenario.BaselineRow
-
-// RunBaselineCoopPos compares CoCoA with the Cooperative Positioning
-// baseline (Kurazume et al., related work Section 5) and odometry-only.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunBaselineCoopPos(opts ExperimentOptions) ([]BaselineRow, error) {
-	return scenario.RunBaselineCoopPos(context.Background(), opts)
-}
 
 // Observability: event hooks and types (serialized by internal/eventlog
 // through the cocoasim -events flag).
@@ -545,33 +398,10 @@ func BurstyLoss(lossRate, meanBurstFrames float64) GEConfig {
 	return faults.Bursty(lossRate, meanBurstFrames)
 }
 
-// RunFaultSweep crosses burst-loss rates with crash fractions and reports
-// the graceful-degradation surface (mean error and uncovered-robot
-// fraction vs fault intensity).
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFaultSweep(opts ExperimentOptions) ([]FaultRow, error) {
-	return scenario.RunFaultSweep(context.Background(), opts)
-}
-
-// RunFailureInjection kills equipped robots mid-run and measures CoCoA's
-// graceful degradation.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunFailureInjection(opts ExperimentOptions) ([]FailureRow, error) {
-	return scenario.RunFailureInjection(context.Background(), opts)
-}
-
 // RunReplication repeats the default deployment across seeds and reports
-// the cross-seed spread of the mean localization error.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
+// the cross-seed spread of the mean localization error. Unlike the
+// registry's "rob-replication" entry it takes the seed count, and it runs
+// with context.Background().
 func RunReplication(opts ExperimentOptions, seeds int) (Replication, error) {
 	return scenario.RunReplication(context.Background(), opts, seeds)
 }
@@ -592,37 +422,8 @@ func SwarmConfig(n int) Config {
 	return scenario.SwarmConfig(n)
 }
 
-// RunScale sweeps SwarmConfig over the swarm sizes.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunScale(opts ExperimentOptions) ([]ScaleRow, error) {
-	return scenario.RunScale(context.Background(), opts)
-}
-
 // ReportingRow measures the controller-reporting data path.
 type ReportingRow = scenario.ReportingRow
 
-// RunExtensionReporting exercises greedy geographic unicast of status
-// reports to the Sync robot over CoCoA coordinates.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunExtensionReporting(opts ExperimentOptions) ([]ReportingRow, error) {
-	return scenario.RunExtensionReporting(context.Background(), opts)
-}
-
 // TerrainRow compares smooth and rough ground for one localization mode.
 type TerrainRow = scenario.TerrainRow
-
-// RunExtensionTerrain quantifies the introduction's uneven-surfaces
-// concern: rough ground degrades odometry, CoCoA's RF fixes neutralize it.
-//
-// Deprecated: Use the Experiments registry — find the Descriptor by
-// Name and call its Run(ctx, opts) — or the scenario runner behind it;
-// this wrapper always runs with context.Background().
-func RunExtensionTerrain(opts ExperimentOptions) ([]TerrainRow, error) {
-	return scenario.RunExtensionTerrain(context.Background(), opts)
-}

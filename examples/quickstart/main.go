@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 
@@ -45,7 +47,7 @@ func run() error {
 
 	// The motivation for RF fixes: odometry alone drifts without bound.
 	// Reproduce the paper's Figure 5 with one robot.
-	fig5, err := cocoa.RunFig5(cocoa.ExperimentOptions{Seed: 42, DurationS: 300})
+	fig5, err := runFig5(cocoa.ExperimentOptions{Seed: 42, DurationS: 300})
 	if err != nil {
 		return err
 	}
@@ -57,4 +59,19 @@ func run() error {
 	}
 	fmt.Printf("  final drift: %.1f m and growing\n", fig5.FinalGapM)
 	return nil
+}
+
+// runFig5 runs the registry's Figure 5 experiment (true vs
+// odometry-estimated path of one robot).
+func runFig5(opts cocoa.ExperimentOptions) (*cocoa.Fig5Result, error) {
+	for _, d := range cocoa.Experiments() {
+		if d.Name == "fig5" {
+			v, err := d.Run(context.Background(), opts)
+			if err != nil {
+				return nil, err
+			}
+			return v.(*cocoa.Fig5Result), nil
+		}
+	}
+	return nil, errors.New("no fig5 experiment registered")
 }

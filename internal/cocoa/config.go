@@ -184,32 +184,12 @@ type Config struct {
 	// degrades SYNC dissemination to plain ODMRP) for the ablation.
 	MRMMPruning bool
 
-	// NeighborIndex selects how the MAC medium finds each frame's
-	// candidate receivers: "grid" (also the "" default) buckets stations
-	// in a uniform spatial hash sized from the radio's plausibility
-	// radius, so swarm-scale teams pay per-frame cost proportional to the
-	// local neighborhood instead of the team size; "scan" forces the O(n)
-	// reference path. The team re-indexes positions every sampling tick
-	// and detaches crashed or powered-off robots, so results are
-	// byte-identical under either setting (see DESIGN.md §12) — the index
-	// is strictly a performance device.
-	NeighborIndex string
-
 	// UpdateWorkers bounds the worker pool that fans per-robot grid
 	// updates within a single run. Per-robot localizer state is disjoint
 	// and each robot's queued beacons are applied in arrival order by one
 	// goroutine, so results are byte-identical at any worker count. 0 (the
 	// default) sizes the pool to GOMAXPROCS; 1 forces serial application.
 	UpdateWorkers int
-
-	// GridStats selects how the Bayesian grid computes its statistics
-	// readouts (estimate, entropy, total probability): "incremental" (also
-	// the "" default) maintains running accumulators updated by each
-	// beacon's touched cells with a drift-bounded full re-sum backstop;
-	// "eager" forces the full-grid scans, the slow reference the
-	// incremental path is equivalence-checked against at 1e-9 (see
-	// DESIGN.md §13). Only the grid localizer reads this knob.
-	GridStats string
 
 	// Checkpoint enables mid-run snapshotting: after every EveryTicks-th
 	// sampling tick the run's state is captured and atomically written to
@@ -244,6 +224,11 @@ type Config struct {
 	// to configurations predating the faults layer. Faults apply to the
 	// RF modes only; odometry-only robots have no radio to degrade.
 	Faults faults.Config
+
+	// ref selects retained reference implementations in place of the
+	// production fast paths (see Reference). Unexported, so it never
+	// reaches JSON, Result bytes, snapshots or the cocoad wire.
+	ref Reference
 }
 
 // DefaultConfig returns the paper's evaluation setup: 50 robots in a
@@ -351,10 +336,6 @@ func (c Config) Validate() error {
 		return configErrorf("TerrainCellM", "must be positive with terrain enabled")
 	case c.UpdateWorkers < 0:
 		return configErrorf("UpdateWorkers", "negative UpdateWorkers")
-	case c.NeighborIndex != "" && c.NeighborIndex != "grid" && c.NeighborIndex != "scan":
-		return configErrorf("NeighborIndex", "%q must be \"grid\" or \"scan\"", c.NeighborIndex)
-	case c.GridStats != "" && c.GridStats != "incremental" && c.GridStats != "eager":
-		return configErrorf("GridStats", "%q must be \"incremental\" or \"eager\"", c.GridStats)
 	case c.Checkpoint.EveryTicks < 0:
 		return configErrorf("Checkpoint", "negative EveryTicks")
 	case c.Checkpoint.EveryTicks > 0 && c.Checkpoint.Dir == "":

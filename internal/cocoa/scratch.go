@@ -128,13 +128,17 @@ func (sc *Scratch) takeResult(cfg Config, tracked []int) *Result {
 
 // RunScratch assembles a deployment on the scratch and runs it under ctx —
 // the replication-loop equivalent of RunContext. A nil scratch degenerates
-// to RunContext exactly.
+// to RunContext exactly. A Reference carried by ctx (ReferenceContext)
+// replaces cfg's.
 func RunScratch(ctx context.Context, cfg Config, sc *Scratch) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if ref, ok := ctx.Value(referenceKey{}).(Reference); ok {
+		cfg.ref = ref
 	}
 	team, err := NewTeamScratch(cfg, sc)
 	if err != nil {

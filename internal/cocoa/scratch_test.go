@@ -1,11 +1,14 @@
 package cocoa
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"cocoa/internal/bayes"
 	"cocoa/internal/faults"
+	"cocoa/internal/mac"
 )
 
 // scratchVariants is the configuration matrix the byte-identity suite runs:
@@ -15,8 +18,7 @@ func scratchVariants() map[string]Config {
 	base := testConfig()
 	base.DurationS = 150
 
-	eager := base
-	eager.GridStats = "eager"
+	eager := WithReference(base, Reference{EagerStats: true})
 
 	ekf := base
 	ekf.Localizer = LocalizerEKF
@@ -175,5 +177,33 @@ func TestScratchReuseAllocs(t *testing.T) {
 	if reusedBytes > freshBytes/3 {
 		t.Errorf("scratch run allocates %.0f B, fresh %.0f B: want at least a 3x drop",
 			reusedBytes, freshBytes)
+	}
+}
+
+// The Reference hook must reach the MAC and the grids whether it arrives on
+// the config (WithReference) or on the context (ReferenceContext).
+func TestReferenceSelectsReferencePaths(t *testing.T) {
+	cfg := testConfig()
+	cfg.DurationS = 20
+	for _, ref := range []Reference{{}, {ScanIndex: true}, {EagerStats: true}} {
+		team, err := NewTeam(WithReference(cfg, ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scan := team.med.Config().NeighborIndex == mac.IndexScan; scan != ref.ScanIndex {
+			t.Errorf("%+v: MAC scan index = %v", ref, scan)
+		}
+		for _, r := range team.robots {
+			if g, ok := r.loc.(*bayes.Grid); ok && (g.StatsModeOf() == bayes.StatsEager) != ref.EagerStats {
+				t.Errorf("%+v: robot %d grid stats mode %v", ref, r.id, g.StatsModeOf())
+			}
+		}
+		res, err := RunContext(ReferenceContext(context.Background(), ref), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Config.ref != ref {
+			t.Errorf("context reference %+v reached the run as %+v", ref, res.Config.ref)
+		}
 	}
 }

@@ -139,7 +139,7 @@ func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
 	}
 
 	macCfg := mac.DefaultConfig(cfg.Radio)
-	if cfg.NeighborIndex != "scan" {
+	if !cfg.ref.ScanIndex {
 		// Spatial neighbor index (the default): stepRobots re-indexes every
 		// position once per sampling tick, so no station ever drifts more
 		// than VMax * SampleIntervalS from its bucketed position — the
@@ -345,7 +345,7 @@ func newLocalizer(cfg Config, root *sim.RNG, id int, sc *Scratch) (Localizer, er
 		if err != nil {
 			return nil, err
 		}
-		if cfg.GridStats == "eager" {
+		if cfg.ref.EagerStats {
 			g.SetStatsMode(bayes.StatsEager)
 		}
 		return g, nil
@@ -849,17 +849,8 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext assembles and runs a deployment in one call under ctx.
 // Cancellation and deadlines are observed between the assembly phase and
-// the run, and cooperatively at every sampling tick inside the run.
+// the run, and cooperatively at every sampling tick inside the run. It is
+// RunScratch without a scratch.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	team, err := NewTeam(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return team.RunContext(ctx)
+	return RunScratch(ctx, cfg, nil)
 }

@@ -61,13 +61,11 @@ func TestIndexPruningFactor(t *testing.T) {
 	base.DurationS = 40
 	base.Calibration.Samples = 60000
 
-	run := func(index string) float64 {
-		cfg := base
-		cfg.NeighborIndex = index
-		visits, sent := visitStats(t, cfg)
+	run := func(ref cocoa.Reference) float64 {
+		visits, sent := visitStats(t, cocoa.WithReference(base, ref))
 		return float64(visits) / float64(sent)
 	}
-	grid, scan := run("grid"), run("scan")
+	grid, scan := run(cocoa.Reference{}), run(cocoa.Reference{ScanIndex: true})
 	t.Logf("visits per frame: grid %.1f, scan %.1f (%.1fx)", grid, scan, scan/grid)
 	if scan < 5*grid {
 		t.Errorf("grid visits %.1f receivers per frame, scan %.1f: pruning factor %.2f < 5",
@@ -83,8 +81,7 @@ func TestIndexPruningFactor(t *testing.T) {
 func TestCrashedSwarmVisitsDrop(t *testing.T) {
 	for _, index := range []string{"grid", "scan"} {
 		t.Run(index, func(t *testing.T) {
-			base := QuickFamilies()["cocoa"]
-			base.NeighborIndex = index
+			base := cocoa.WithReference(QuickFamilies()["cocoa"], cocoa.Reference{ScanIndex: index == "scan"})
 
 			perFrame := func(crash float64) float64 {
 				cfg := base

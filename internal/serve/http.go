@@ -2,9 +2,10 @@ package serve
 
 // The HTTP surface of the service. Error taxonomy maps onto status codes:
 //
-//	400  invalid config (field + reason) or malformed request
+//	400  invalid config (field + reason), malformed request, or unknown key
 //	404  unknown job ID
 //	409  result requested before the job reached the done state
+//	413  submission body over maxSubmitBytes
 //	429  queue full (Retry-After hints when to resubmit)
 //	503  draining after SIGTERM (Retry-After; try another replica)
 //
@@ -105,9 +106,23 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
+// maxSubmitBytes bounds a submission body. A full cocoa.Config marshals to
+// a few KB; anything near this limit is not a job request.
+const maxSubmitBytes = 1 << 20
+
+// handleSubmit decodes strictly: an unknown key (a misspelled or retired
+// field) is a 400 naming it rather than silently dropped, and a body over
+// maxSubmitBytes is a 413.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cocoa"
+	"cocoa/internal/checkpoint"
 )
 
 // slowCfg is a deployment heavy enough (dense grid, 40 robots) that its
@@ -310,5 +311,83 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 	}
 	if want := fmt.Sprintf("job-%06d", 8); j.ID() != want {
 		t.Fatalf("first post-recovery ID %s, want %s", j.ID(), want)
+	}
+}
+
+// State persisted before the reference selectors left the Config still
+// carries their keys. The lenient reload paths must ignore them: a job.json
+// alone reruns, a job.json plus snapshot resumes, and both serve bytes
+// identical to a fresh run.
+func TestRecoverPreUpgradeState(t *testing.T) {
+	retired := func(t *testing.T, configJSON []byte) json.RawMessage {
+		var m map[string]any
+		if err := json.Unmarshal(configJSON, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["NeighborIndex"], m["GridStats"] = "scan", "eager"
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cfg := quickCfg(3)
+	res, err := cocoa.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(res)
+	cfgJSON, _ := json.Marshal(cfg)
+
+	stateDir := t.TempDir()
+	for _, id := range []string{"job-000001", "job-000002"} {
+		rec, _ := json.Marshal(map[string]any{"id": id, "request": map[string]any{"config": retired(t, cfgJSON)}})
+		dir := filepath.Join(stateDir, id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// job-000002 also left a snapshot behind.
+	ckptCfg := cfg
+	ckptCfg.Checkpoint = cocoa.CheckpointSpec{EveryTicks: 50, Dir: filepath.Join(stateDir, "job-000002")}
+	if _, err := cocoa.Run(ckptCfg); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(ckptCfg.Checkpoint.Dir, cocoa.CheckpointFile)
+	snap, err := cocoa.ReadSnapshot(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.ConfigJSON = retired(t, snap.ConfigJSON)
+	if err := checkpoint.WriteFile(ckpt, snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cocoa.ResumeFrom(context.Background(), snap); err != nil {
+		t.Fatalf("resume pre-upgrade snapshot: %v", err)
+	} else if b, _ := json.Marshal(got); !bytes.Equal(b, want) {
+		t.Fatal("resumed pre-upgrade snapshot differs from a fresh run")
+	}
+
+	s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	ids, err := s.RecoverJobs()
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("recovered %v, %v; want both jobs", ids, err)
+	}
+	for _, id := range ids {
+		j, _ := s.Job(id)
+		if st := waitJobTerminal(t, j, StateQueued, StateResumed); st.State != StateDone {
+			t.Fatalf("%s: state %s (%s)", id, st.State, st.Error)
+		}
+		if got, _ := j.Result(); !bytes.Equal(got, want) {
+			t.Errorf("%s: recovered result differs from a fresh run", id)
+		}
 	}
 }

@@ -219,16 +219,30 @@ func TestSubmitErrorMapping(t *testing.T) {
 		})
 	}
 
-	t.Run("malformed JSON", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{nope"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status %d, want 400", resp.StatusCode)
-		}
-	})
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		wantErr    string
+	}{
+		{"malformed JSON", "{nope", http.StatusBadRequest, "invalid JSON"},
+		{"unknown key", `{"config": {"NumRobots": 10, "NeighborIndex": "scan"}}`, http.StatusBadRequest, `unknown field "NeighborIndex"`},
+		{"oversized body", `{"experiment": "` + strings.Repeat("x", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.code || !strings.Contains(body.Error, tc.wantErr) {
+				t.Errorf("status %d error %q, want %d naming %q", resp.StatusCode, body.Error, tc.code, tc.wantErr)
+			}
+		})
+	}
 	t.Run("unknown job", func(t *testing.T) {
 		resp := getJSON(t, ts.URL+"/v1/jobs/job-999999", nil)
 		if resp.StatusCode != http.StatusNotFound {

@@ -141,10 +141,15 @@ func BenchmarkNewSourceLFG(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamDerive times one fresh root deriving streamsPerOp streams.
+// A root retains every stream it derives (for HashTree), so a root shared
+// across iterations would make ns/op grow with b.N.
 func BenchmarkStreamDerive(b *testing.B) {
-	root := NewRNG(1)
-	b.ResetTimer()
+	const streamsPerOp = 64
 	for i := 0; i < b.N; i++ {
-		_ = root.StreamN("bench", i%64)
+		root := NewRNG(1)
+		for n := 0; n < streamsPerOp; n++ {
+			_ = root.StreamN("bench", n)
+		}
 	}
 }
