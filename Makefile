@@ -30,12 +30,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
-# shuffle reruns the stateful service/runner suites twice in random order:
-# the runner and serve packages keep cross-test state (scratch pools, a
-# process-global telemetry registry, daemon state dirs), so any hidden
-# test-order dependence shows up here instead of flaking in CI.
+# shuffle reruns the stateful suites twice in random order: the runner,
+# serve and scenario packages keep cross-test state (scratch pools, a
+# process-global telemetry registry the result-variants table diffs, daemon
+# state dirs), so any hidden test-order dependence shows up here instead of
+# flaking in CI.
 shuffle:
-	$(GO) test -count=2 -shuffle=on ./internal/runner ./internal/serve
+	$(GO) test -count=2 -shuffle=on ./internal/runner ./internal/serve ./internal/scenario
 
 # cover prints per-package statement coverage; cover-check additionally
 # enforces the floors in coverage_floor.txt (see cmd/covergate). Floors

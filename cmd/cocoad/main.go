@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -113,7 +112,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(srv.Handler())
 	logger.Info("cocoad listening",
 		"addr", "http://"+ln.Addr().String(), "workers", *workers, "queue", *queueDepth)
 

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -69,5 +71,63 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "256.0.0.1:99999"}); err == nil {
 		t.Fatal("expected listen error for bad address")
+	}
+}
+
+// headerLimitStatus sends a request whose headers exceed
+// serve.NewHTTPServer's MaxHeaderBytes but not net/http's 1 MiB default,
+// and returns the status: 431 only from a server with the tightened limit.
+func headerLimitStatus(t *testing.T, baseURL string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, baseURL+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Pad", strings.Repeat("x", 256<<10))
+	resp, err := (&http.Client{Transport: &http.Transport{DisableKeepAlives: true}}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
+
+// All three listeners cocoad opens — the public API, the debug mux and the
+// -smoke server — must carry serve.NewHTTPServer's limits.
+func TestListenersLimitHeaders(t *testing.T) {
+	old := stderr
+	defer func() { stderr = old }()
+	buf := &syncBuf{}
+	stderr = buf
+	base, done := startDaemon(t, buf, "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-workers", "1")
+	debug := regexp.MustCompile(`msg="debug server listening" addr=(http://[^ ]+)/debug/vars`).FindStringSubmatch(buf.String())
+	if debug == nil {
+		t.Fatalf("no debug listen line\n%s", buf.String())
+	}
+	status := map[string]int{"public": headerLimitStatus(t, base), "debug": headerLimitStatus(t, debug[1])}
+	if err := sigterm(t, done); err != nil {
+		t.Fatal(err)
+	}
+
+	// Probe the -smoke server the moment runSmoke announces it.
+	smoke := regexp.MustCompile(`smoke: serving on (http://[^ ,]+),`)
+	stderr = writerFunc(func(b []byte) (int, error) {
+		if m := smoke.FindSubmatch(b); m != nil {
+			status["smoke"] = headerLimitStatus(t, string(m[1]))
+		}
+		return len(b), nil
+	})
+	golden := filepath.Join("..", "..", "internal", "scenario", "testdata", "golden_odometry.json")
+	if err := run([]string{"-smoke", golden, "-workers", "1"}); err != nil {
+		t.Fatalf("smoke: %v", err)
+	}
+	for _, name := range []string{"public", "debug", "smoke"} {
+		if status[name] != http.StatusRequestHeaderFieldsTooLarge {
+			t.Errorf("%s listener: oversized headers got status %d, want 431", name, status[name])
+		}
 	}
 }

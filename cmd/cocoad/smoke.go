@@ -56,7 +56,7 @@ func runSmoke(srv *serve.Server, goldenPath string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

@@ -1,7 +1,10 @@
 package cocoa
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -85,6 +88,40 @@ func TestConfigValidateRejects(t *testing.T) {
 				t.Error("accepted invalid config")
 			}
 		})
+	}
+}
+
+// Every float64 field, nested models included, must reject NaN and ±Inf
+// with a ConfigError naming it. The fields are found by reflection, so
+// fields added later are covered without touching this test.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	cfg := testConfig()
+	fields := 0
+	var walk func(v reflect.Value, name string)
+	walk = func(v reflect.Value, name string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Type().Field(i); f.IsExported() {
+					walk(v.Field(i), strings.TrimPrefix(name+"."+f.Name, "."))
+				}
+			}
+		case reflect.Float64:
+			fields++
+			good := v.Float()
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				v.SetFloat(bad)
+				var ce *ConfigError
+				if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != name {
+					t.Errorf("%s = %v: Validate returned %v, want a ConfigError on that field", name, bad, err)
+				}
+			}
+			v.SetFloat(good)
+		}
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "")
+	if fields < 20 {
+		t.Fatalf("walked only %d float64 fields: the nested models were missed", fields)
 	}
 }
 

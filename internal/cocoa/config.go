@@ -18,6 +18,8 @@ package cocoa
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 
 	"cocoa/internal/caltable"
 	"cocoa/internal/energy"
@@ -293,6 +295,9 @@ func configErrorf(field, format string, args ...any) *ConfigError {
 // Validate reports whether the configuration is usable. Every failure is a
 // *ConfigError wrapping ErrInvalidConfig.
 func (c Config) Validate() error {
+	if field, f, ok := nonFinite(reflect.ValueOf(&c).Elem()); ok {
+		return configErrorf(field, "%v is not finite", f)
+	}
 	switch {
 	case c.NumRobots <= 0:
 		return configErrorf("NumRobots", "must be positive")
@@ -359,6 +364,28 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "Faults", Reason: err.Error()}
 	}
 	return nil
+}
+
+// nonFinite finds the first NaN or infinite float64 field of v, nested
+// structs included, and returns its dotted path (e.g. "Radio.TxPowerDBm")
+// and value. No field uses an infinity as a sentinel, and the range checks
+// in Validate cannot catch a NaN: every comparison with it is false.
+func nonFinite(v reflect.Value) (string, float64, bool) {
+	switch v.Kind() {
+	case reflect.Float64:
+		f := v.Float()
+		return "", f, math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if path, f, ok := nonFinite(v.Field(i)); ok {
+				if path == "" {
+					return v.Type().Field(i).Name, f, true
+				}
+				return v.Type().Field(i).Name + "." + path, f, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // mobilityConfig derives the waypoint model configuration.

@@ -2,77 +2,8 @@ package cocoa
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
-
-	"cocoa/internal/faults"
 )
-
-// Intra-run parallelism must be invisible: per-robot localizer state is
-// disjoint and each robot's beacon queue is applied FIFO by one goroutine,
-// so a run's Result — every sample, counter, and energy figure — must be
-// byte-identical at any UpdateWorkers setting.
-
-func parallelCases() map[string]Config {
-	cases := map[string]Config{}
-
-	cases["combined"] = testConfig()
-
-	rf := testConfig()
-	rf.Mode = ModeRFOnly
-	cases["rf-only"] = rf
-
-	sec := testConfig()
-	sec.SecondaryBeacons = true
-	sec.TerrainAmplitude = 1.5
-	sec.ClockDriftSigmaS = 0.2
-	cases["secondary+terrain+drift"] = sec
-
-	flt := testConfig()
-	flt.Faults.GE = faults.Bursty(0.3, 4)
-	flt.Faults.CrashFraction = 0.2
-	flt.Faults.CrashMeanDownS = 40
-	cases["faults"] = flt
-
-	mcl := testConfig()
-	mcl.Localizer = LocalizerParticle
-	mcl.Particles = 300
-	cases["particle"] = mcl
-
-	return cases
-}
-
-func TestUpdateWorkersByteIdentical(t *testing.T) {
-	for name, cfg := range parallelCases() {
-		t.Run(name, func(t *testing.T) {
-			var ref *Result
-			for _, workers := range []int{1, 3, 0} { // serial, bounded, auto
-				c := cfg
-				c.UpdateWorkers = workers
-				res, err := Run(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The stored Config differs by construction; everything
-				// else must match bit-for-bit.
-				res.Config.UpdateWorkers = 0
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if !reflect.DeepEqual(ref, res) {
-					t.Errorf("UpdateWorkers=%d diverges from serial run", workers)
-					if ref.MeanError() != res.MeanError() {
-						t.Errorf("  mean error %v vs %v", ref.MeanError(), res.MeanError())
-					}
-					if ref.Fixes != res.Fixes {
-						t.Errorf("  fixes %d vs %d", ref.Fixes, res.Fixes)
-					}
-				}
-			}
-		})
-	}
-}
 
 func TestUpdateWorkersValidate(t *testing.T) {
 	cfg := testConfig()

@@ -28,7 +28,7 @@ var telScratchReuse = telemetry.Default.Counter("cocoa.scratch_reuse")
 //
 // Reuse is invisible in the results: a reseed is a complete stream reset and
 // Grid.Reset restores the exact uniform prior, so a scratch-built run is
-// byte-identical to a fresh one (pinned by TestScratchByteIdentity).
+// byte-identical to a fresh one (pinned by the scratch row of DESIGN.md §6).
 //
 // A Scratch serves one live team at a time. Building a new team through a
 // scratch invalidates the previous team built through it; the caller must

@@ -403,7 +403,7 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	if cfg.Mode != ModeOdometryOnly {
-		t.scheduleWindow(0)
+		t.scheduleWindows()
 	}
 
 	// Failure injection: the configured number of equipped robots die at
@@ -541,15 +541,14 @@ func (t *Team) sample(res *Result, now sim.Time) {
 	res.AvgError = append(res.AvgError, sum/float64(n))
 }
 
-// scheduleWindow arms the events of the beacon period starting at w.
-func (t *Team) scheduleWindow(w sim.Time) {
+// scheduleWindows arms the events of every beacon period of the run. A
+// loop, not recursion, so stack depth does not grow with the window count.
+func (t *Team) scheduleWindows() {
 	cfg := t.cfg
-	if w >= cfg.DurationS {
-		return
+	for w := sim.Time(0); w < cfg.DurationS; w += cfg.BeaconPeriodS {
+		t.sim.At(w, func() { t.startWindow(w) })
+		t.sim.At(w+cfg.TransmitPeriodS, func() { t.endWindow(w) })
 	}
-	t.sim.At(w, func() { t.startWindow(w) })
-	t.sim.At(w+cfg.TransmitPeriodS, func() { t.endWindow(w) })
-	t.scheduleWindow(w + cfg.BeaconPeriodS)
 }
 
 // startWindow wakes the team, refreshes the MRMM mesh, disseminates SYNC,

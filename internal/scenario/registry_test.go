@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
@@ -57,44 +56,6 @@ func TestRegistryRunFig1(t *testing.T) {
 		return
 	}
 	t.Fatal("fig1 not registered")
-}
-
-// Serial and parallel executions of the same seeded sweep must agree
-// byte-for-byte: every run is deterministic in its Config, and the engine
-// orders results by sweep index. Run under -race this also exercises the
-// engine's synchronization on a real workload.
-func TestSweepsDeterministicAcrossParallelism(t *testing.T) {
-	serial := fastOpts()
-	parallel := fastOpts()
-	parallel.Parallelism = 4
-
-	t.Run("failure-injection", func(t *testing.T) {
-		s, err := RunFailureInjection(context.Background(), serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := RunFailureInjection(context.Background(), parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprintf("%#v", p), fmt.Sprintf("%#v", s); got != want {
-			t.Errorf("parallel rows differ from serial:\nserial:   %s\nparallel: %s", want, got)
-		}
-	})
-
-	t.Run("ablation-k", func(t *testing.T) {
-		s, err := RunAblationK(context.Background(), serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := RunAblationK(context.Background(), parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprintf("%#v", p), fmt.Sprintf("%#v", s); got != want {
-			t.Errorf("parallel rows differ from serial:\nserial:   %s\nparallel: %s", want, got)
-		}
-	})
 }
 
 // Progress must be reported once per run in monotone order even when the

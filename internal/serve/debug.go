@@ -57,6 +57,6 @@ func StartDebugServer(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("debug server: %w", err)
 	}
-	go func() { _ = http.Serve(ln, mux) }()
+	go func() { _ = NewHTTPServer(mux).Serve(ln) }()
 	return ln.Addr().String(), nil
 }

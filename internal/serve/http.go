@@ -27,6 +27,22 @@ import (
 	"cocoa/internal/telemetry"
 )
 
+// NewHTTPServer returns the server behind every cocoad listener: the
+// public API, the -smoke check and the debug mux. It bounds how long a
+// client may take to send a request and how large its headers may be, so
+// a slow or hostile client cannot hold a connection or memory open. It sets
+// no write timeout: /events streams for a job's whole lifetime. The read
+// timeout covers the request only; net/http lifts it once the request has
+// been read, so it does not cut streams either.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute, // bodies are capped at maxSubmitBytes
+		MaxHeaderBytes:    64 << 10,
+	}
+}
+
 // Handler returns the service's public API mux, wrapped in the request-ID
 // and access-log middleware.
 func (s *Server) Handler() http.Handler {

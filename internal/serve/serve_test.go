@@ -612,3 +612,14 @@ func TestSmokeFamilyParsing(t *testing.T) {
 		t.Error("/debug/vars missing telemetry variable")
 	}
 }
+
+// Every cocoad listener is built by NewHTTPServer: bounded request reads
+// and headers, and no write timeout, which would cut /events streams.
+func TestNewHTTPServerLimits(t *testing.T) {
+	srv := NewHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout != 0 ||
+		srv.MaxHeaderBytes <= 0 || srv.MaxHeaderBytes >= http.DefaultMaxHeaderBytes {
+		t.Errorf("ReadHeaderTimeout %v, ReadTimeout %v, WriteTimeout %v, MaxHeaderBytes %d",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.MaxHeaderBytes)
+	}
+}
