@@ -18,7 +18,7 @@
 // # Performance model
 //
 // ApplyBeacon is the simulation's hot path (10,000 cells per beacon at the
-// paper's resolution), and the implementation exploits three observations:
+// paper's resolution), and the implementation exploits four observations:
 //
 //  1. Normalization is a global scale, so it can be lazy: the grid stores
 //     an unnormalized belief plus its tracked mass, and readouts divide on
@@ -32,9 +32,20 @@
 //     bounds (caltable.TabulatedPDF); the per-cell density is then a table
 //     index instead of an Exp, and the annulus fast path — classically
 //     Gaussian-only via the moments — applies to empirical histograms too.
+//  4. Along a grid row, d² falls up to the first column at or right of the
+//     beacon and rises after it, and the support keeps one d² interval, so
+//     each monotone part of a row keeps one contiguous run of cells. The
+//     run's ends are found exactly by trimming with the per-cell support
+//     predicate; a leaf kernel per density mode then updates the run with
+//     only the floor test left per cell. Its four running sums stay in
+//     registers (a single loop inlined into ApplyBeacon spilled them to
+//     the stack around every cell store), the squared column offsets are
+//     computed once per beacon, and nearest mode indexes a per-beacon copy
+//     of the table already divided by the floor.
 //
 // The pre-overhaul eager implementation is retained as applyBeaconEager;
-// equivalence tests pin the fast path to it cell-for-cell at 1e-9.
+// equivalence tests pin the fast path to it cell-for-cell at 1e-9, and the
+// row kernels are pinned bit for bit to a per-cell-checked loop.
 package bayes
 
 import (
@@ -128,8 +139,12 @@ type Grid struct {
 	// for the closed-form uniform accumulators on Reset.
 	cx, cy       []float64
 	sumCx, sumCy float64
-	mass         float64
-	beacons      int
+	// dx2 and ratio are ApplyBeacon's per-apply buffers: the squared
+	// column offsets from the beacon, and the nearest-mode table divided
+	// by the floor. They carry no state between applies.
+	dx2, ratio []float64
+	mass       float64
+	beacons    int
 
 	// Incremental statistics accumulators (StatsIncremental): the running
 	// cell sum and first moments, updated by ApplyBeacon's per-cell
@@ -163,6 +178,7 @@ func NewGrid(area geom.Rect, cellSize float64) (*Grid, error) {
 	}
 	g := &Grid{area: area, cellSize: cellSize, nx: nx, ny: ny, p: make([]float64, nx*ny)}
 	g.cx = make([]float64, nx)
+	g.dx2 = make([]float64, nx)
 	for ix := range g.cx {
 		g.cx[ix] = area.Min.X + (float64(ix)+0.5)*cellSize
 		g.sumCx += g.cx[ix]
@@ -277,27 +293,56 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 		rInner2 = -1 // the inner disk is empty
 	}
 	rOuter2 := rOuter * rOuter
+	sup := support{rInner2: rInner2, rOuter2: rOuter2, r0: r0, r1: r1, radial: haveLUT}
 
 	bx, by := beaconPos.X, beaconPos.Y
 	minX := g.area.Min.X
 	bounded := !math.IsInf(rOuter, 1)
+
+	// Per-apply precompute: every row shares the squared column offsets,
+	// and mid — the first column whose center is not left of the beacon —
+	// splits each row into a part where d² is non-increasing and a part
+	// where it is non-decreasing. In nearest mode the table is pre-divided
+	// by the floor, with 0 marking the bins the cell loop must skip
+	// (negated test, so NaN densities skip too).
+	cx, dx2 := g.cx, g.dx2
+	mid := 0
+	for ix, c := range cx {
+		dx := c - bx
+		dx2[ix] = dx * dx
+		if c < bx {
+			mid++
+		}
+	}
+	var ratio []float64
+	if haveLUT && nearest {
+		ratio = g.ratio[:0]
+		for _, dv := range dens {
+			r := 0.0
+			if dv > constraintFloor {
+				r = dv * invConstraintFloor
+			}
+			ratio = append(ratio, r)
+		}
+		g.ratio = ratio
+	}
+
 	// removed/added track the mass delta exactly as before the incremental
 	// statistics existed (the mass arithmetic is pinned bitwise by the
 	// eager-stats equivalence); sumDX/sumDY accumulate the first-moment
 	// deltas per row so the moment accumulators stay O(touched cells).
-	var removed, added, sumDX, sumDY float64
+	var s cellSums
+	var sumDX, sumDY float64
 	for iy := 0; iy < g.ny; iy++ {
 		dy := g.cy[iy] - by
 		dy2 := dy * dy
 		if dy2 > rOuter2 {
 			continue // the whole row is outside the annulus
 		}
-		var rowD, rowDX float64
 		lo, hi := 0, g.nx
 		if bounded {
 			// Conservative (+/- one cell) column interval where the row
-			// can intersect the outer disk; the per-cell d² check below
-			// stays authoritative.
+			// can intersect the outer disk; the exact trim below decides.
 			halfW := math.Sqrt(rOuter2 - dy2)
 			lo = int((bx-halfW-minX)/g.cellSize) - 1
 			hi = int((bx+halfW-minX)/g.cellSize) + 2
@@ -309,10 +354,8 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 			}
 		}
 		// Inner-hole skip: where the row crosses the inner disk, the middle
-		// columns satisfy |dx| < sqrt(rInner²-dy²) and would fail the d²
-		// check below cell by cell. Conservative (±1 cell) integer bounds
-		// excise that run; the per-cell check stays authoritative, so the
-		// iteration set shrinks but the touched cells are identical.
+		// columns satisfy |dx| < sqrt(rInner²-dy²). Conservative (±1 cell)
+		// integer bounds excise that run before the exact trim.
 		s1, s2 := hi, hi
 		if rInner2 > 0 && dy2 < rInner2 {
 			halfH := math.Sqrt(rInner2 - dy2)
@@ -329,102 +372,40 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 			}
 		}
 		row := g.p[iy*g.nx : (iy+1)*g.nx : (iy+1)*g.nx]
-		for seg := 0; seg < 2; seg++ {
-			start, end := lo, s1
-			if seg == 1 {
-				start, end = s2, hi
+		s.rowD, s.rowDX = 0, 0
+		// The segments [lo,s1) and [s2,hi), each split at mid, are visited
+		// in ascending column order. d² is monotone within each part, and
+		// the cells the support keeps form one d² interval, so trimming
+		// each part from both ends with the exact per-cell predicate
+		// leaves precisely the cells a per-cell check would keep.
+		for part := 0; part < 4; part++ {
+			a, b := lo, s1
+			if part >= 2 {
+				a, b = s2, hi
 			}
-			// The cell loop is specialized per density mode: the mode is
-			// fixed for the whole call, and hoisting the dispatch out of
-			// the innermost loop is worth a few percent of the whole
-			// simulation. Each body inlines TabulatedPDF.Density
-			// expression-for-expression (a density > floor multiplies the
-			// cell, anything else leaves it untouched), so the three
-			// variants and the Density-calling reference agree bitwise.
+			if a >= b {
+				continue // an empty (or, off the grid, inverted) segment
+			}
+			if m := min(max(mid, a), b); part%2 == 0 {
+				b = m
+			} else {
+				a = m
+			}
+			a, b = sup.trim(dx2, dy2, a, b)
+			if a == b {
+				continue
+			}
 			switch {
 			case haveLUT && nearest:
-				for ix := start; ix < end; ix++ {
-					dx := g.cx[ix] - bx
-					d2 := dx*dx + dy2
-					if d2 > rOuter2 || d2 < rInner2 {
-						continue
-					}
-					d := math.Sqrt(d2)
-					if d < r0 || d >= r1 {
-						continue
-					}
-					j := int((d - r0) * invStep)
-					if j >= len(dens) {
-						j = len(dens) - 1
-					}
-					dv := dens[j]
-					if !(dv > constraintFloor) { // negated so NaN densities also skip
-						continue // ratio 1: multiplying would be a bitwise no-op
-					}
-					old := row[ix]
-					nv := old * (dv * invConstraintFloor)
-					row[ix] = nv
-					removed += old
-					added += nv
-					dm := nv - old
-					rowD += dm
-					rowDX += dm * g.cx[ix]
-				}
+				s = nearestRow(row[a:b], cx[a:b], dx2[a:b], dy2, r0, invStep, ratio, s)
 			case haveLUT:
-				for ix := start; ix < end; ix++ {
-					dx := g.cx[ix] - bx
-					d2 := dx*dx + dy2
-					if d2 > rOuter2 || d2 < rInner2 {
-						continue
-					}
-					d := math.Sqrt(d2)
-					if d < r0 || d >= r1 {
-						continue
-					}
-					u := (d - r0) * invStep
-					j := int(u)
-					var dv float64
-					if j >= len(dens)-1 {
-						dv = dens[len(dens)-1]
-					} else {
-						dv = dens[j] + (u-float64(j))*(dens[j+1]-dens[j])
-					}
-					if !(dv > constraintFloor) {
-						continue
-					}
-					old := row[ix]
-					nv := old * (dv * invConstraintFloor)
-					row[ix] = nv
-					removed += old
-					added += nv
-					dm := nv - old
-					rowD += dm
-					rowDX += dm * g.cx[ix]
-				}
+				s = lerpRow(row[a:b], cx[a:b], dx2[a:b], dy2, r0, invStep, dens, s)
 			default:
-				for ix := start; ix < end; ix++ {
-					dx := g.cx[ix] - bx
-					d2 := dx*dx + dy2
-					if d2 > rOuter2 || d2 < rInner2 {
-						continue
-					}
-					dv := pdf.Density(math.Sqrt(d2))
-					if !(dv > constraintFloor) {
-						continue
-					}
-					old := row[ix]
-					nv := old * (dv * invConstraintFloor)
-					row[ix] = nv
-					removed += old
-					added += nv
-					dm := nv - old
-					rowD += dm
-					rowDX += dm * g.cx[ix]
-				}
+				s = genericRow(row[a:b], cx[a:b], dx2[a:b], dy2, pdf, s)
 			}
 		}
-		sumDX += rowDX
-		sumDY += rowD * g.cy[iy]
+		sumDX += s.rowDX
+		sumDY += s.rowD * g.cy[iy]
 	}
 
 	switch {
@@ -436,7 +417,7 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 		telApplyGeneric.Inc()
 	}
 
-	mass := g.mass - removed + added
+	mass := g.mass - s.removed + s.added
 	if mass <= 0 || math.IsNaN(mass) || math.IsInf(mass, 0) {
 		// Numerical collapse: fall back to uniform rather than emit NaNs.
 		// Reset restores the closed-form uniform accumulators too.
@@ -446,7 +427,7 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 		return
 	}
 	g.mass = mass
-	g.sumP = g.sumP - removed + added
+	g.sumP = g.sumP - s.removed + s.added
 	g.sumX += sumDX
 	g.sumY += sumDY
 	g.statsOps++
@@ -458,6 +439,134 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 	} else {
 		telRenormDefer.Inc()
 	}
+}
+
+// support is one beacon's pass predicate: a cell at squared distance d2 is
+// updated only if d2 lies in [rInner2, rOuter2] and, for radial tables,
+// its distance lies in the table's range [r0, r1). The excluded set is a
+// lower plus an upper set of d2, so on a monotone run of cells the kept
+// cells are contiguous.
+type support struct {
+	rInner2, rOuter2 float64
+	r0, r1           float64
+	radial           bool
+}
+
+// excludes reports whether the support leaves a cell at squared distance
+// d2 untouched. Without a radial table the distance range is unbounded (a
+// d2 of +Inf is kept for the density to judge), and a NaN d2 fails every
+// comparison, so it is kept exactly as a per-cell check would keep it.
+func (s *support) excludes(d2 float64) bool {
+	if d2 > s.rOuter2 || d2 < s.rInner2 {
+		return true
+	}
+	if !s.radial {
+		return false
+	}
+	d := math.Sqrt(d2)
+	return d < s.r0 || d >= s.r1
+}
+
+// trim narrows the column run [a, b), along which d² is monotone, to its
+// cells the support keeps.
+func (s *support) trim(dx2 []float64, dy2 float64, a, b int) (int, int) {
+	for a < b && s.excludes(dx2[a]+dy2) {
+		a++
+	}
+	for b > a && s.excludes(dx2[b-1]+dy2) {
+		b--
+	}
+	return a, b
+}
+
+// cellSums carries ApplyBeacon's running sums through the row kernels: the
+// mass removed from and added to the updated cells, and the row's
+// cell-delta sum and its x moment.
+type cellSums struct {
+	removed, added, rowD, rowDX float64
+}
+
+// The row kernels update one trimmed run of cells, in ascending column
+// order, each specialized to a density mode. Every cell they see is inside
+// the support, so only the floor test remains per cell; the density
+// expressions inline TabulatedPDF.Density term for term, so the three
+// kernels and a Density-calling per-cell loop agree bitwise. They are leaf
+// functions over slice arguments so the four sums stay in registers
+// across the loop instead of spilling around the store to row.
+
+// nearestRow is the nearest-sample (histogram) kernel; ratio is the table
+// pre-divided by the floor, 0 where the bin is not above the floor.
+func nearestRow(row, cx, dx2 []float64, dy2, r0, invStep float64, ratio []float64, s cellSums) cellSums {
+	cx, dx2 = cx[:len(row)], dx2[:len(row)]
+	for i := range row {
+		d := math.Sqrt(dx2[i] + dy2)
+		j := int((d - r0) * invStep)
+		if j >= len(ratio) {
+			j = len(ratio) - 1
+		}
+		rv := ratio[j]
+		if rv == 0 {
+			continue // ratio 1: multiplying would be a bitwise no-op
+		}
+		old := row[i]
+		nv := old * rv
+		row[i] = nv
+		s.removed += old
+		s.added += nv
+		dm := nv - old
+		s.rowD += dm
+		s.rowDX += dm * cx[i]
+	}
+	return s
+}
+
+// lerpRow is the linearly interpolated (Gaussian table) kernel.
+func lerpRow(row, cx, dx2 []float64, dy2, r0, invStep float64, dens []float64, s cellSums) cellSums {
+	cx, dx2 = cx[:len(row)], dx2[:len(row)]
+	for i := range row {
+		d := math.Sqrt(dx2[i] + dy2)
+		u := (d - r0) * invStep
+		j := int(u)
+		var dv float64
+		if j >= len(dens)-1 {
+			dv = dens[len(dens)-1]
+		} else {
+			dv = dens[j] + (u-float64(j))*(dens[j+1]-dens[j])
+		}
+		if !(dv > constraintFloor) { // negated so NaN densities also skip
+			continue
+		}
+		old := row[i]
+		nv := old * (dv * invConstraintFloor)
+		row[i] = nv
+		s.removed += old
+		s.added += nv
+		dm := nv - old
+		s.rowD += dm
+		s.rowDX += dm * cx[i]
+	}
+	return s
+}
+
+// genericRow evaluates the density through the interface, for PDFs
+// without a radial table.
+func genericRow(row, cx, dx2 []float64, dy2 float64, pdf DistanceDensity, s cellSums) cellSums {
+	cx, dx2 = cx[:len(row)], dx2[:len(row)]
+	for i := range row {
+		dv := pdf.Density(math.Sqrt(dx2[i] + dy2))
+		if !(dv > constraintFloor) {
+			continue
+		}
+		old := row[i]
+		nv := old * (dv * invConstraintFloor)
+		row[i] = nv
+		s.removed += old
+		s.added += nv
+		dm := nv - old
+		s.rowD += dm
+		s.rowDX += dm * cx[i]
+	}
+	return s
 }
 
 // applyBeaconEager is the retained pre-overhaul reference implementation:

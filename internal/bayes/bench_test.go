@@ -5,6 +5,7 @@ import (
 
 	"cocoa/internal/caltable"
 	"cocoa/internal/geom"
+	"cocoa/internal/sim"
 )
 
 // BenchmarkApplyBeacon measures the per-beacon grid update — the hot path
@@ -75,6 +76,65 @@ func BenchmarkApplyBeaconEmpirical(b *testing.B) {
 			g.Reset()
 		}
 	}
+}
+
+// BenchmarkApplyBeaconCalibrated is the production mix of the paper
+// replication: a 200 m area at 2 m cells, and the far-regime histogram
+// bins of the calibration table a default-configured run uses, whose
+// supports span roughly 40-220 m. Sixteen beacons at fixed positions cycle
+// through those bins, and the grid resets before each cycle. cells/op is
+// the mean number of cells one beacon multiplies, counted outside the
+// timer, so ns/op divided by cells/op is the cost per touched cell.
+func BenchmarkApplyBeaconCalibrated(b *testing.B) {
+	g, err := NewGrid(geom.Square(200), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var far []DistanceDensity
+	for _, pdf := range calibratedPDFs(b) {
+		if lt, ok := pdf.(radialTable); ok {
+			if _, _, _, nearest := lt.RadialTable(); nearest {
+				far = append(far, pdf)
+			}
+		}
+	}
+	if len(far) == 0 {
+		b.Fatal("calibration table has no histogram bins")
+	}
+	type beacon struct {
+		pos geom.Vec2
+		pdf DistanceDensity
+	}
+	const cycle = 16
+	rng := sim.NewRNG(1).Stream("bench-calibrated")
+	var beacons []beacon
+	cells := 0
+	for i := 0; i < cycle; i++ {
+		bc := beacon{
+			pos: geom.Vec2{X: rng.Uniform(0, 200), Y: rng.Uniform(0, 200)},
+			pdf: far[i*len(far)/cycle],
+		}
+		beacons = append(beacons, bc)
+		g.Reset()
+		u := g.p[0]
+		g.ApplyBeacon(bc.pos, bc.pdf)
+		for _, p := range g.p {
+			if p != u {
+				cells++
+			}
+		}
+	}
+	g.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bc := beacons[i%cycle]
+		g.ApplyBeacon(bc.pos, bc.pdf)
+		if i%cycle == cycle-1 {
+			g.Reset()
+		}
+	}
+	b.ReportMetric(float64(cells)/cycle, "cells/op")
 }
 
 func BenchmarkEstimate(b *testing.B) {

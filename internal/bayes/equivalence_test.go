@@ -21,7 +21,7 @@ type plainDensity struct{ inner DistanceDensity }
 
 func (p plainDensity) Density(d float64) float64 { return p.inner.Density(d) }
 
-func testPDFs(t *testing.T) map[string]DistanceDensity {
+func testPDFs(t testing.TB) map[string]DistanceDensity {
 	t.Helper()
 	gauss := caltable.GaussianPDF{Mu: 35, Sigma: 4}
 	tabGauss, err := caltable.Tabulate(gauss, constraintFloor, 0.0625, 220)
