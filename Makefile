@@ -32,12 +32,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 # shuffle reruns the stateful suites twice in random order: the runner,
-# serve and scenario packages keep cross-test state (scratch pools, a
-# process-global telemetry registry the result-variants table diffs, daemon
-# state dirs), so any hidden test-order dependence shows up here instead of
-# flaking in CI.
+# serve, scenario and cocoaexp packages keep cross-test state (scratch
+# pools, a process-global telemetry registry the result-variants table and
+# the cocoaexp delta tables diff, daemon state dirs, cocoaexp's swapped
+# stderr and its progress printer), so any hidden test-order dependence
+# shows up here instead of flaking in CI.
 shuffle:
-	$(GO) test -count=2 -shuffle=on ./internal/runner ./internal/serve ./internal/scenario
+	$(GO) test -count=2 -shuffle=on ./internal/runner ./internal/serve ./internal/scenario ./cmd/cocoaexp
 
 # cover prints per-package statement coverage; cover-check additionally
 # enforces the floors in coverage_floor.txt (see cmd/covergate). Floors

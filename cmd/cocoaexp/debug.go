@@ -33,14 +33,18 @@ func writeTelemetrySnapshot(path string) error {
 	return nil
 }
 
+// slotDependent counters measure memory reuse, not simulation work: they
+// depend on which run slot a job drew and what earlier sweeps left behind.
+var slotDependent = map[string]bool{"cocoa.scratch_reuse": true, "sim.arena_chunks": true}
+
 // printTelemetryDelta appends one experiment's instrument deltas to the
-// progress stream. Only sim-deterministic quantities are printed —
-// counters and histogram counts/means, never wall-clock span totals — so
-// the table is identical at any parallelism level.
+// progress stream. Only sim-deterministic quantities are printed — non-
+// slotDependent counters and histogram counts/means, never wall-clock
+// span totals — so the table is identical at any parallelism level.
 func printTelemetryDelta(w io.Writer, d telemetry.Snapshot) {
 	wrote := false
 	for _, c := range d.Counters {
-		if c.Value == 0 {
+		if c.Value == 0 || slotDependent[c.Name] {
 			continue
 		}
 		if !wrote {

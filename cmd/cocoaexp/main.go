@@ -126,14 +126,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = cocoa.MaxParallelism()
 	}
-	if *progress {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(stderr, "\r  run %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
-	}
 
 	start := time.Now()
 	matched := false
@@ -150,7 +142,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if telemetry.Default.Enabled() && *progress {
 			before = telemetry.Default.Snapshot()
 		}
+		stopProgress := func() {}
+		if *progress {
+			opts.Gauge = &obs.Progress{}
+			stopProgress = printProgress(stderr, opts.Gauge)
+		}
 		res, err := d.Run(ctx, opts)
+		stopProgress()
 		if err != nil {
 			return fmt.Errorf("%s: %w", d.Name, err)
 		}
@@ -172,6 +170,47 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// progressInterval paces the -progress redraw.
+const progressInterval = 100 * time.Millisecond
+
+// printProgress redraws "\r  run d/t" on w from g when the pair changed,
+// every progressInterval. The returned stop joins the redraw goroutine,
+// then prints the final pair and a newline, so nothing written after it
+// interleaves with a redraw. A gauge without a fan-out prints nothing.
+func printProgress(w io.Writer, g *obs.Progress) (stop func()) {
+	last := ""
+	draw := func() {
+		if done, total := g.Run(); total > 0 {
+			if s := fmt.Sprintf("  run %d/%d", done, total); s != last {
+				fmt.Fprintf(w, "\r%-*s", len(last), s) // pad over a longer pair
+				last = s
+			}
+		}
+	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		ticker := time.NewTicker(progressInterval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
+				draw()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+		draw()
+		if last != "" {
+			fmt.Fprintln(w)
+		}
+	}
 }
 
 // resumeRun continues one interrupted simulation run from a snapshot file:

@@ -360,6 +360,8 @@ type (
 
 // Event kinds.
 const (
+	EventRunStart    = icocoa.EventRunStart
+	EventRunEnd      = icocoa.EventRunEnd
 	EventWindowStart = icocoa.EventWindowStart
 	EventWindowEnd   = icocoa.EventWindowEnd
 	EventBeaconSent  = icocoa.EventBeaconSent
@@ -371,6 +373,7 @@ const (
 	EventFailure     = icocoa.EventFailure
 	EventCrash       = icocoa.EventCrash
 	EventRecover     = icocoa.EventRecover
+	EventCheckpoint  = icocoa.EventCheckpoint
 )
 
 // Robustness studies.

@@ -97,7 +97,6 @@ func maxSampleTicks(cfg Config) int {
 // capture if the cadence says so. Any error stops the event loop and is
 // surfaced by RunContext.
 func (t *Team) onSampleTick(res *Result, now sim.Time) {
-	t.ticks++
 	if t.verify != nil && t.ticks == t.verify.TickIndex {
 		snap := t.verify
 		t.verify = nil
@@ -121,11 +120,7 @@ func (t *Team) capture(res *Result, now sim.Time) error {
 	if err != nil {
 		return err
 	}
-	if t.tracer != nil {
-		t.tracer.Instant(0, "checkpoint", float64(now), map[string]any{
-			"tick": t.ticks, "label": t.ckptLabel,
-		})
-	}
+	t.emitSimple(EventCheckpoint, -1)
 	return t.ckptHook(snap)
 }
 

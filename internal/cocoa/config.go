@@ -214,9 +214,9 @@ type Config struct {
 	// Trace, when non-nil, records the run's span timeline (run →
 	// sampling-window → {mac-frame, belief-update, checkpoint}) on the
 	// simulation's virtual clock for export as Chrome trace-event JSON.
-	// Excluded from JSON for the same reason as Progress; the recorder is
-	// append-only and nothing in the run reads it back, so tracing never
-	// steers results (DESIGN.md §15).
+	// NewTeam records into it through one observer of the run's events.
+	// Excluded from JSON like Progress and never read back by the run, so
+	// tracing never steers results (DESIGN.md §15).
 	Trace *obs.Trace `json:"-"`
 
 	// Faults injects unreliable-network conditions: bursty link loss,

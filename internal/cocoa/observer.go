@@ -2,6 +2,7 @@ package cocoa
 
 import (
 	"cocoa/internal/geom"
+	"cocoa/internal/obs"
 	"cocoa/internal/sim"
 )
 
@@ -27,6 +28,8 @@ type EventKind string
 
 // Event kinds.
 const (
+	EventRunStart    EventKind = "run-start"
+	EventRunEnd      EventKind = "run-end"
 	EventWindowStart EventKind = "window-start"
 	EventWindowEnd   EventKind = "window-end"
 	EventBeaconSent  EventKind = "beacon-sent"
@@ -38,6 +41,7 @@ const (
 	EventFailure     EventKind = "failure"
 	EventCrash       EventKind = "crash"
 	EventRecover     EventKind = "recover"
+	EventCheckpoint  EventKind = "checkpoint"
 )
 
 // Observer consumes run events. Implementations must be fast; they run
@@ -50,8 +54,9 @@ func (t *Team) Observe(o Observer) {
 	t.observers = append(t.observers, o)
 }
 
-// emit delivers an event to all observers. The zero-observer case is the
-// common one and costs only a nil check.
+// emit delivers an event to all observers: the one place a run reports
+// what happened (a trace is one more observer, see traceObserver). The
+// zero-observer case is the common one and costs only a length check.
 func (t *Team) emit(kind EventKind, robot int, pos geom.Vec2, errM float64, beacons int) {
 	if len(t.observers) == 0 {
 		return
@@ -72,6 +77,43 @@ func (t *Team) emit(kind EventKind, robot int, pos geom.Vec2, errM float64, beac
 // emitSimple is emit without position or measurements.
 func (t *Team) emitSimple(kind EventKind, robot int) {
 	t.emit(kind, robot, geom.Vec2{}, 0, 0)
+}
+
+// traceObserver records the event stream into tr as the run's span
+// timeline (Config.Trace). What an event does not carry it reads from the
+// team at emission time: the sender's equipment, the beacon queues, and
+// the checkpoint tick and label.
+func (t *Team) traceObserver(tr *obs.Trace) Observer {
+	return func(e Event) {
+		switch e.Kind {
+		case EventRunStart:
+			tr.SetThreadName(0, "event-loop")
+			tr.Begin(0, "run", e.TimeS, map[string]any{
+				"seed": t.cfg.Seed, "robots": t.cfg.NumRobots, "duration_s": int(t.cfg.DurationS),
+			})
+		case EventWindowStart:
+			tr.Begin(0, "sampling-window", e.TimeS, nil)
+		case EventBeaconSent:
+			tr.Instant(0, "mac-frame", e.TimeS, map[string]any{
+				"robot": e.Robot, "secondary": !t.robots[e.Robot].equipped,
+			})
+		case EventCheckpoint:
+			tr.Instant(0, "checkpoint", e.TimeS, map[string]any{"tick": t.ticks, "label": t.ckptLabel})
+		case EventWindowEnd, EventRunEnd:
+			// Both precede a flush: a belief-update per queue it applies, then
+			// close the window or, at run end, every open span.
+			for _, r := range t.robots {
+				if len(r.pending) > 0 {
+					tr.Complete(1+r.id, "belief-update", e.TimeS, 0, map[string]any{"beacons": len(r.pending)})
+				}
+			}
+			if e.Kind == EventRunEnd {
+				tr.CloseOpen(e.TimeS)
+			} else {
+				tr.End(0, e.TimeS)
+			}
+		}
+	}
 }
 
 // failRobot powers a robot off mid-run: it stops beaconing, forwarding,

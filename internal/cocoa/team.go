@@ -19,7 +19,6 @@ import (
 	"cocoa/internal/mobility"
 	"cocoa/internal/mrmm"
 	"cocoa/internal/network"
-	"cocoa/internal/obs"
 	"cocoa/internal/odometry"
 	"cocoa/internal/sim"
 	"cocoa/internal/telemetry"
@@ -47,9 +46,9 @@ var (
 	// flush.
 	telQueueDepth = telemetry.Default.Histogram("cocoa.beacon_queue_depth",
 		[]float64{0, 1, 2, 4, 8, 16, 32})
-	// cocoa.window_sim measures each beacon window in simulated time: with
-	// clock skew and crashes the *effective* window a run experienced is an
-	// observable, not a config echo.
+	// cocoa.window_sim measures each beacon window in simulated time.
+	// endWindow runs at w+TransmitPeriodS on the global clock whatever the
+	// robots' skew or crashes, so every sample is exactly TransmitPeriodS.
 	telWindowSim = telemetry.Default.Span("cocoa.window_sim")
 )
 
@@ -102,13 +101,6 @@ type Team struct {
 	reportsSent      int
 	reportsDelivered int
 	reportHops       int
-
-	// Observability taps (Config.Progress / Config.Trace). Both are
-	// write-only for the run — nothing below reads them back — so they
-	// cannot steer results; nil disables each at one pointer check per
-	// record site.
-	progress *obs.Progress
-	tracer   *obs.Trace
 }
 
 // NewTeam assembles a deployment from the configuration. The calibration
@@ -160,8 +152,9 @@ func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
 		clockRng: root.Stream("clock"),
 		scratch:  sc,
 		root:     root,
-		progress: cfg.Progress,
-		tracer:   cfg.Trace,
+	}
+	if cfg.Trace != nil {
+		t.Observe(t.traceObserver(cfg.Trace))
 	}
 	t.updateWorkers = cfg.UpdateWorkers
 	if t.updateWorkers == 0 {
@@ -433,19 +426,11 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	done := ctx.Done()
 	dt := float64(cfg.SampleIntervalS)
 	t.armCheckpoints()
-	// Live progress: the loop owns its own tick counter (t.ticks only
-	// advances when checkpoint machinery is armed) and publishes position
-	// with one atomic store per tick — write-only, so it cannot perturb
-	// the run.
+	// Live progress: one atomic store per tick — write-only, so it cannot
+	// perturb the run.
 	totalTicks := maxSampleTicks(cfg)
-	progressTick := 0
-	t.progress.SetTicks(0, totalTicks)
-	if t.tracer != nil {
-		t.tracer.SetThreadName(0, "event-loop")
-		t.tracer.Begin(0, "run", 0, map[string]any{
-			"seed": cfg.Seed, "robots": cfg.NumRobots, "duration_s": int(cfg.DurationS),
-		})
-	}
+	cfg.Progress.SetTicks(0, totalTicks)
+	t.emitSimple(EventRunStart, -1)
 	t.sim.EachTick(cfg.SampleIntervalS, cfg.SampleIntervalS, func(now sim.Time) {
 		if done != nil && ctx.Err() != nil {
 			t.sim.Stop()
@@ -456,8 +441,8 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 		// (no-op under the scan path; consumes no randomness either way).
 		t.med.UpdatePositions()
 		t.sample(res, now)
-		progressTick++
-		t.progress.SetTicks(progressTick, totalTicks)
+		t.ticks++
+		cfg.Progress.SetTicks(t.ticks, totalTicks)
 		// Checkpoint machinery: verify a pending resume snapshot at its
 		// tick, then capture on the configured cadence. Both read state
 		// without mutating it (digests are side-effect free), so runs
@@ -481,10 +466,10 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 			Reason: fmt.Sprintf("snapshot tick %d never reached (run sampled %d ticks)", t.verify.TickIndex, t.ticks),
 		}
 	}
+	// run-end precedes finish, so observers still see the beacons queued
+	// after the last window end, which finish applies.
+	t.emitSimple(EventRunEnd, -1)
 	t.finish(res)
-	// Close the run span (and any sampling-window whose scheduled end fell
-	// past DurationS) so every exported trace is balanced.
-	t.tracer.CloseOpen(float64(t.sim.Now()))
 	return res, nil
 }
 
@@ -555,7 +540,6 @@ func (t *Team) scheduleWindows() {
 // and schedules the window's beacons.
 func (t *Team) startWindow(w sim.Time) {
 	cfg := t.cfg
-	t.tracer.Begin(0, "sampling-window", float64(w), nil)
 	t.emitSimple(EventWindowStart, -1)
 	// Punctual and early robots are awake by now (their wake timers fired
 	// at w+clockErr <= w); late robots wake when their skewed timer fires.
@@ -655,13 +639,6 @@ func (t *Team) sendBeacon(r *robot) {
 	}
 	if r.nic.Send(network.KindBeacon, network.BeaconBytes, payload) == nil {
 		telBeaconsSent.Inc()
-		// Guard the args map: building it unconditionally would allocate
-		// even when tracing is off.
-		if t.tracer != nil {
-			t.tracer.Instant(0, "mac-frame", float64(now), map[string]any{
-				"robot": r.id, "secondary": payload.Secondary,
-			})
-		}
 		t.emit(EventBeaconSent, r.id, payload.Pos, 0, 0)
 	}
 }
@@ -682,18 +659,6 @@ func (t *Team) flushBeaconQueues() {
 	}
 	telFlushes.Inc()
 	telFlushBusy.ObserveInt(len(busy))
-	// Trace the belief updates serially, before the worker fan-out: the
-	// robots' queue depths are still intact here, and emitting from the
-	// single-threaded event loop keeps the event order deterministic at
-	// any worker count.
-	if t.tracer != nil {
-		nowS := float64(t.sim.Now())
-		for _, r := range busy {
-			t.tracer.Complete(1+r.id, "belief-update", nowS, 0, map[string]any{
-				"beacons": len(r.pending),
-			})
-		}
-	}
 	workers := t.updateWorkers
 	if workers > len(busy) {
 		workers = len(busy)
@@ -728,10 +693,9 @@ func (t *Team) endWindow(w sim.Time) {
 	cfg := t.cfg
 	now := t.sim.Now()
 	telWindowSim.StartSim(float64(w)).EndSim(float64(now))
+	// Observers see the queued beacons the flush then applies.
 	t.emitSimple(EventWindowEnd, -1)
-	// Apply the window's queued beacons before any localizer readout below.
 	t.flushBeaconQueues()
-	t.tracer.End(0, float64(now))
 	for _, r := range t.robots {
 		if r.failed {
 			continue

@@ -26,6 +26,6 @@
 // The layer inherits telemetry's prime directive: it records, it never
 // steers. Nothing in the simulation reads a Progress or Trace value to
 // make a decision, so results are byte-identical with every obs feature
-// on or off, at any parallelism — and the disabled path of each record
-// site stays at one atomic (or nil-pointer) load.
+// on or off, at any parallelism — and a nil Progress costs one check per
+// site, while only a traced run registers the observer that fills a Trace.
 package obs

@@ -14,8 +14,8 @@ import (
 // word, so a reader always sees a consistent (position, total) pair even
 // mid-write. Progress is strictly write-only for the simulation — nothing
 // reads it back into the run — so publishing through it can never perturb
-// results (the records-never-steers invariant, pinned by the on/off
-// equivalence test in internal/cocoa).
+// results (the records-never-steers invariant, pinned by the obs row of
+// resultVariants in internal/scenario/equivalence_test.go).
 type Progress struct {
 	// ticks packs (current tick << 32 | total ticks) of the executing run.
 	ticks atomic.Uint64

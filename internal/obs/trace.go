@@ -34,12 +34,10 @@ type TraceEvent struct {
 }
 
 // Trace accumulates the span timeline of one run: hierarchical B/E spans
-// per track (tid), self-contained X spans, instants, and metadata. All
-// record methods are nil-safe no-ops, so call sites need no enabled flag
-// beyond the pointer itself — but sites that build an Args map must still
-// guard on the pointer, or the map allocation leaks into the disabled
-// path. Recording appends under a mutex; the simulation emits events from
-// its single-threaded event loop, so insertion order is deterministic.
+// per track (tid), self-contained X spans, instants, and metadata. A run
+// records into it through an observer of its event stream, which its
+// single-threaded event loop feeds, so insertion order is deterministic;
+// recording appends under a mutex.
 type Trace struct {
 	mu     sync.Mutex
 	events []TraceEvent
@@ -55,9 +53,6 @@ func NewTrace() *Trace {
 
 // Begin opens a span on track tid at simulation time atS (seconds).
 func (t *Trace) Begin(tid int, name string, atS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, TraceEvent{
@@ -69,9 +64,6 @@ func (t *Trace) Begin(tid int, name string, atS float64, args map[string]any) {
 // End closes the innermost open span on track tid at simulation time atS.
 // Closing an empty track is a no-op (the Begin was never recorded).
 func (t *Trace) End(tid int, atS float64) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	stack := t.open[tid]
@@ -87,9 +79,6 @@ func (t *Trace) End(tid int, atS float64) {
 
 // Complete records a self-contained span of durS seconds starting at atS.
 func (t *Trace) Complete(tid int, name string, atS, durS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, TraceEvent{
@@ -100,9 +89,6 @@ func (t *Trace) Complete(tid int, name string, atS, durS float64, args map[strin
 
 // Instant records a point event at simulation time atS.
 func (t *Trace) Instant(tid int, name string, atS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, TraceEvent{
@@ -114,9 +100,6 @@ func (t *Trace) Instant(tid int, name string, atS float64, args map[string]any) 
 // SetProcessName attaches a process_name metadata record, which Perfetto
 // renders as the track group's title (e.g. a job ID).
 func (t *Trace) SetProcessName(name string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, TraceEvent{
@@ -126,9 +109,6 @@ func (t *Trace) SetProcessName(name string) {
 
 // SetThreadName titles track tid (e.g. "event-loop", "robot 7").
 func (t *Trace) SetThreadName(tid int, name string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, TraceEvent{
@@ -141,9 +121,6 @@ func (t *Trace) SetThreadName(tid int, name string) {
 // DurationS leaves its Begin dangling; closing here keeps every exported
 // trace balanced.
 func (t *Trace) CloseOpen(atS float64) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tids := make([]int, 0, len(t.open))
@@ -162,11 +139,8 @@ func (t *Trace) CloseOpen(atS float64) {
 	}
 }
 
-// Len returns the number of recorded events; 0 on nil.
+// Len returns the number of recorded events.
 func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
@@ -174,9 +148,6 @@ func (t *Trace) Len() int {
 
 // Events returns a copy of the recorded events in insertion order.
 func (t *Trace) Events() []TraceEvent {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]TraceEvent(nil), t.events...)

@@ -6,23 +6,6 @@ import (
 	"testing"
 )
 
-func TestTraceNilSafe(t *testing.T) {
-	var tr *Trace
-	tr.Begin(0, "run", 0, nil)
-	tr.End(0, 1)
-	tr.Complete(1, "work", 0.5, 0.1, nil)
-	tr.Instant(0, "tick", 0.25, nil)
-	tr.SetProcessName("job")
-	tr.SetThreadName(0, "loop")
-	tr.CloseOpen(1)
-	if tr.Len() != 0 {
-		t.Fatalf("nil Len() = %d, want 0", tr.Len())
-	}
-	if tr.Events() != nil {
-		t.Fatal("nil Events() != nil")
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTrace()
 	tr.SetProcessName("run 0")

@@ -11,10 +11,7 @@
 //     observed failures) cancels all outstanding work and its error is
 //     returned, mirroring a serial loop's early return;
 //   - cooperative cancellation: a context cancels between jobs, and the
-//     per-job context lets long jobs observe cancellation themselves;
-//   - serialized progress reporting: the Progress callback is never invoked
-//     concurrently, so callers need no locking to drive a counter or a
-//     progress bar.
+//     per-job context lets long jobs observe cancellation themselves.
 //
 // Parallelism <= 1 degenerates to a plain inline loop on the calling
 // goroutine — the zero value of Options reproduces serial behavior exactly,
@@ -72,11 +69,6 @@ type Options struct {
 	// never spawns more workers than there are jobs. Use MaxParallelism
 	// for "as many as the hardware allows".
 	Parallelism int
-	// Progress, when non-nil, is invoked after each job completes with the
-	// number of completed jobs and the total. Invocations are serialized;
-	// done is strictly increasing from 1 to total on a fully successful
-	// fan-out.
-	Progress func(done, total int)
 	// CheckpointDir, when non-empty, makes every run of a Runs/RunsEach
 	// fan-out checkpoint into its own subdirectory run-<index>/ beneath it
 	// (see cocoa.CheckpointSpec). Checkpointing is operational: it never
@@ -86,7 +78,8 @@ type Options struct {
 	// CheckpointDir; <= 0 means cocoa.DefaultCheckpointEveryTicks.
 	CheckpointEvery int
 	// Gauge, when non-nil, receives the fan-out's live position: SetRun
-	// after each completed job, and (for Runs/RunsEach) the executing
+	// (0, n) at the start and after each completed job under the engine's
+	// lock (so done only grows), and (for Runs/RunsEach) the executing
 	// run's tick position via cocoa's Config.Progress. Concurrent runs
 	// share the gauge — the tick readout tracks whichever run published
 	// last, which is the intended "what is the pool doing right now"
@@ -95,7 +88,7 @@ type Options struct {
 	Gauge *obs.Progress
 	// Logger, when non-nil, receives a debug record per failed job. The
 	// engine never logs on the success path — sweeps run thousands of
-	// jobs and the Progress/Gauge channels already carry liveness.
+	// jobs and the Gauge already carries liveness.
 	Logger *slog.Logger
 }
 
@@ -157,9 +150,6 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 			}
 			out[i] = v
 			opts.Gauge.SetRun(i+1, n)
-			if opts.Progress != nil {
-				opts.Progress(i+1, n)
-			}
 		}
 		return out, nil
 	}
@@ -198,9 +188,6 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 				out[i] = v
 				done++
 				opts.Gauge.SetRun(done, n)
-				if opts.Progress != nil {
-					opts.Progress(done, n)
-				}
 				mu.Unlock()
 			}
 		}()

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"cocoa/internal/cocoa"
 	"cocoa/internal/faults"
+	"cocoa/internal/obs"
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
@@ -102,30 +104,46 @@ func TestMapContextCancellation(t *testing.T) {
 	}
 }
 
-func TestMapProgressSerializedAndComplete(t *testing.T) {
+// The gauge is the fan-out's only progress channel: a reader polling it
+// while the jobs run must see the run count only grow, under a total of
+// n, and the finished fan-out must read n/n.
+func TestMapGaugeMonotoneAndComplete(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		var dones []int
-		_, err := Map(context.Background(), Options{
-			Parallelism: par,
-			// No locking here on purpose: the engine guarantees serialized
-			// invocation, and -race verifies it.
-			Progress: func(done, total int) {
-				if total != 30 {
-					t.Errorf("total = %d, want 30", total)
+		g := &obs.Progress{}
+		stop := make(chan struct{})
+		sampled := make(chan error, 1)
+		go func() {
+			last := 0
+			for {
+				select {
+				case <-stop:
+					sampled <- nil
+					return
+				default:
 				}
-				dones = append(dones, done)
-			},
-		}, 30, func(_ context.Context, i int) (int, error) { return i, nil })
+				done, total := g.Run()
+				if total != 0 && total != 30 || done < last {
+					sampled <- fmt.Errorf("gauge read %d/%d after done=%d", done, total, last)
+					return
+				}
+				last = done
+				runtime.Gosched()
+			}
+		}()
+		_, err := Map(context.Background(), Options{Parallelism: par, Gauge: g}, 30,
+			func(_ context.Context, i int) (int, error) {
+				time.Sleep(100 * time.Microsecond)
+				return i, nil
+			})
+		close(stop)
+		if serr := <-sampled; serr != nil {
+			t.Errorf("parallelism %d: %v", par, serr)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dones) != 30 {
-			t.Fatalf("parallelism %d: %d progress calls, want 30", par, len(dones))
-		}
-		for i, d := range dones {
-			if d != i+1 {
-				t.Fatalf("parallelism %d: progress not monotone: %v", par, dones)
-			}
+		if done, total := g.Run(); done != 30 || total != 30 {
+			t.Errorf("parallelism %d: gauge ends at %d/%d, want 30/30", par, done, total)
 		}
 	}
 }

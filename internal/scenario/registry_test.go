@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"testing"
+
+	"cocoa/internal/obs"
 )
 
 func TestRegistryWellFormed(t *testing.T) {
@@ -58,27 +60,35 @@ func TestRegistryRunFig1(t *testing.T) {
 	t.Fatal("fig1 not registered")
 }
 
-// Progress must be reported once per run in monotone order even when the
-// sweep itself fans out.
-func TestSweepProgressCallback(t *testing.T) {
+// A sweep publishes its position through the gauge: the finished
+// fan-out reads done == total, and its runs published their ticks.
+func TestSweepProgressGauge(t *testing.T) {
 	opts := fastOpts()
 	opts.Parallelism = 4
-	var calls []int
-	opts.Progress = func(done, total int) {
-		if total != 3 {
-			t.Errorf("total = %d, want 3", total)
-		}
-		calls = append(calls, done)
-	}
+	opts.Gauge = &obs.Progress{}
 	if _, err := RunFailureInjection(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 3 {
-		t.Fatalf("progress called %d times, want 3", len(calls))
+	if done, total := opts.Gauge.Run(); done != 3 || total != 3 {
+		t.Errorf("gauge ends at %d/%d runs, want 3/3", done, total)
 	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress sequence %v not monotone", calls)
-		}
+	if _, ticks := opts.Gauge.Ticks(); ticks == 0 {
+		t.Error("no run published its tick total")
+	}
+}
+
+// RunBaselineCoopPos fans its three systems out like any sweep, so a
+// cocoad baseline job shows run progress and its CoCoA runs show ticks.
+func TestBaselinePublishesProgress(t *testing.T) {
+	opts := fastOpts()
+	opts.Gauge = &obs.Progress{}
+	if _, err := RunBaselineCoopPos(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if done, total := opts.Gauge.Run(); done != 3 || total != 3 {
+		t.Errorf("gauge ends at %d/%d runs, want 3/3", done, total)
+	}
+	if _, ticks := opts.Gauge.Ticks(); ticks == 0 {
+		t.Error("baseline runs published no tick total")
 	}
 }

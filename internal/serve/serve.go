@@ -120,7 +120,7 @@ func (s State) Terminal() bool {
 }
 
 // JobOptions mirrors the JSON-safe subset of cocoa.ExperimentOptions for
-// named-experiment jobs (the Progress callback is wired by the service).
+// named-experiment jobs (the progress gauge is wired by the service).
 type JobOptions struct {
 	Seed               int64   `json:"seed,omitempty"`
 	DurationS          float64 `json:"duration_s,omitempty"`
@@ -152,8 +152,8 @@ type JobStatus struct {
 	Kind  string `json:"kind"` // "config" or the experiment name
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
-	// RunsDone/RunsTotal track per-run progress inside the job's sweep;
-	// a raw-config job is a single run.
+	// RunsDone/RunsTotal track per-run progress inside the job's current
+	// fan-out (the obs.Progress gauge); a raw-config job is a single run.
 	RunsDone  int `json:"runs_done"`
 	RunsTotal int `json:"runs_total"`
 	// Tick/TicksTotal expose the executing run's live position inside its
@@ -189,14 +189,12 @@ type Job struct {
 	state      State
 	errMsg     string
 	result     []byte
-	done       int
-	total      int
 	userCancel bool
 	changed    chan struct{}
 	traceJSON  []byte
 
-	// progress is the job's live gauge: the simulation loop (raw-config
-	// jobs) or the sweep engine (experiment jobs) publishes through it
+	// progress is the job's live gauge: the simulation loop publishes
+	// ticks, the sweep engine runs, and finalize the completed total, all
 	// lock-free; Status reads it on demand. trace is the span recorder for
 	// JobRequest.Trace jobs, serialized into traceJSON on success. log
 	// carries the job's ID and kind as pre-bound attrs.
@@ -205,6 +203,15 @@ type Job struct {
 	log      *slog.Logger
 
 	handle *runner.Handle[[]byte]
+}
+
+// newJob returns a queued job whose gauge reads 0/1 runs: a raw-config
+// job is one run; an experiment's fan-outs publish their own totals.
+func newJob(resumed bool) *Job {
+	j := &Job{kind: "config", state: StateQueued, resumed: resumed,
+		changed: make(chan struct{}), progress: &obs.Progress{}}
+	j.progress.SetRun(0, 1)
+	return j
 }
 
 // ID returns the job's unique identifier.
@@ -219,17 +226,17 @@ func (j *Job) logger() *slog.Logger {
 	return j.log
 }
 
-// statusLocked assembles the wire snapshot; callers hold j.mu. The live
-// tick position and ETA come from the lock-free progress gauge — reading
-// them takes atomic loads only, never blocks the simulation. The ETA is
-// rounded to whole seconds so equal-looking statuses compare equal and
+// statusLocked assembles the wire snapshot; callers hold j.mu. Run and
+// tick positions and the ETA come from the lock-free progress gauge —
+// atomic loads only, never blocking the simulation. The ETA is rounded
+// to whole seconds so equal-looking statuses compare equal and
 // the events stream is not churned by sub-second drift.
 func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID: j.id, Kind: j.kind, State: j.state, Error: j.errMsg,
-		RunsDone: j.done, RunsTotal: j.total, Resumed: j.resumed,
-		TraceAvailable: j.traceJSON != nil,
+		Resumed: j.resumed, TraceAvailable: j.traceJSON != nil,
 	}
+	st.RunsDone, st.RunsTotal = j.progress.Run()
 	st.Tick, st.TicksTotal = j.progress.Ticks()
 	if !j.state.Terminal() {
 		if eta, ok := j.progress.ETA(time.Now()); ok {
@@ -247,10 +254,10 @@ func (j *Job) Status() JobStatus {
 }
 
 // Watch returns the current snapshot plus a channel closed on the next
-// change — the poll-free primitive behind the events stream. Per-tick
-// progress does not fire the channel (that would wake watchers thousands
-// of times per run); the events handler re-reads on a coarse ticker
-// instead.
+// state change — the poll-free primitive behind the events stream. Gauge
+// progress (runs and ticks) does not fire the channel (per-tick wakeups
+// would hit watchers thousands of times per run); the events handler
+// re-reads on a coarse ticker instead.
 func (j *Job) Watch() (JobStatus, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -321,15 +328,9 @@ func (j *Job) setRunning() {
 	}
 }
 
-func (j *Job) setProgress(done, total int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.done, j.total = done, total
-	j.broadcast()
-}
-
 // finalize records the outcome exactly once, classifying context errors:
-// Canceled means the caller asked; DeadlineExceeded is a failure.
+// Canceled means the caller asked; DeadlineExceeded is a failure. A done
+// job publishes its last fan-out as complete.
 func (j *Job) finalize(b []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -337,9 +338,10 @@ func (j *Job) finalize(b []byte, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.result = b
-		j.done = j.total
+		_, total := j.progress.Run()
+		j.progress.SetRun(total, total)
 		telCompleted.Inc()
-		j.logger().Info("job done", "runs", j.total, "result_bytes", len(b))
+		j.logger().Info("job done", "runs", total, "result_bytes", len(b))
 	case errors.Is(err, context.Canceled):
 		j.state = StateCanceled
 		j.errMsg = "canceled"
@@ -409,9 +411,9 @@ func New(cfg Config) *Server {
 }
 
 // experimentOptions converts wire options to scenario options with the
-// job's progress callback, live gauge, and logger attached.
+// job's live gauge attached.
 func experimentOptions(o *JobOptions, j *Job) cocoa.ExperimentOptions {
-	var opts cocoa.ExperimentOptions
+	opts := cocoa.ExperimentOptions{Gauge: j.progress}
 	if o != nil {
 		opts.Seed = o.Seed
 		opts.DurationS = o.DurationS
@@ -420,11 +422,6 @@ func experimentOptions(o *JobOptions, j *Job) cocoa.ExperimentOptions {
 		opts.GridCellM = o.GridCellM
 		opts.Parallelism = o.Parallelism
 	}
-	opts.Progress = func(done, total int) {
-		j.setProgress(done, total)
-		j.logger().Debug("run complete", "run", done, "runs_total", total)
-	}
-	opts.Gauge = j.progress
 	return opts
 }
 
@@ -501,8 +498,7 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		telRejectedInvalid.Inc()
 		return nil, fmt.Errorf("%w: exactly one of config or experiment must be set", ErrBadRequest)
 	}
-	j := &Job{kind: "config", state: StateQueued, total: 1,
-		changed: make(chan struct{}), progress: &obs.Progress{}}
+	j := newJob(false)
 	exec, err := s.buildExec(req, j)
 	if err != nil {
 		telRejectedInvalid.Inc()
@@ -895,8 +891,7 @@ func (s *Server) RecoverJobs() ([]string, error) {
 			os.RemoveAll(dir)
 			continue
 		}
-		j := &Job{kind: "config", state: StateQueued, total: 1,
-			changed: make(chan struct{}), resumed: true, progress: &obs.Progress{}}
+		j := newJob(true)
 		exec, err := s.buildExec(rec.Request, j)
 		if err != nil {
 			os.RemoveAll(dir)

@@ -156,6 +156,27 @@ func TestServedResultsByteIdenticalUnderConcurrency(t *testing.T) {
 	}
 }
 
+// A raw-config job is one run: its gauge reads 0/1 from submission and
+// finalize publishes 1/1 when it is done.
+func TestConfigJobReportsOneRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	cfg := quickCfg(1)
+	var st JobStatus
+	if resp := postJob(t, ts, JobRequest{Config: &cfg}, &st); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if st.RunsDone != 0 || st.RunsTotal != 1 {
+		t.Errorf("submitted job reports %d/%d runs, want 0/1", st.RunsDone, st.RunsTotal)
+	}
+	end := waitTerminal(t, ts, st.ID)
+	if end.State != StateDone {
+		t.Fatalf("state %s: %s", end.State, end.Error)
+	}
+	if end.RunsDone != 1 || end.RunsTotal != 1 {
+		t.Errorf("done job reports %d/%d runs, want 1/1", end.RunsDone, end.RunsTotal)
+	}
+}
+
 func TestExperimentJobRunsRegistryEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
 	var st JobStatus

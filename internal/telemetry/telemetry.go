@@ -8,7 +8,8 @@
 //  1. Zero behavioral coupling. Telemetry only ever *records*; nothing in
 //     the stack reads a telemetry value to make a decision, so simulation
 //     results are byte-identical with telemetry enabled or disabled, at any
-//     parallelism (an equivalence test in internal/cocoa pins this).
+//     parallelism (the telemetry row of resultVariants in
+//     internal/scenario/equivalence_test.go pins this).
 //  2. No-op when disabled. The registry starts disabled; every record
 //     operation first loads one shared atomic flag and returns. Experiment
 //     sweeps that never ask for telemetry pay one predictable branch per
